@@ -217,13 +217,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args, args.controller, args.seed)
     out_dir = Path(args.out if args.out is not None else _default_out_dir())
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_experiment(config)
+    image = load_world(config)
+    result = run_experiment(config, world=image)
     write_trace_csv(result, out_dir / "trace.csv")
     if not result.valid:
         print(f"run aborted after {len(result.trace)} steps: {result.failure}",
               file=sys.stderr)
         return EXIT_RUNTIME
-    image = load_world(config)
     last = result.trace[-1]
     cam = CameraState(left=last.cam_x, top=last.cam_y,
                       width=config.window_w, height=config.window_h)

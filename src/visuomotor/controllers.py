@@ -10,6 +10,8 @@ whenever the history carries no usable signal.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -49,7 +51,7 @@ class ErrorHistory:
                 f"timesteps must be strictly increasing "
                 f"(got {t} after {self._records[-1].t})"
             )
-        if not np.isfinite(error) or error < 0:
+        if not math.isfinite(error) or error < 0:
             raise ValueError(f"error must be finite and non-negative, got {error}")
         self._records.append(HistoryRecord(int(t), command, float(error)))
 
@@ -157,24 +159,34 @@ def choose_maxlp(
     """Repeat the command whose step showed the largest learning progress.
 
     Progress at record time tau is the drop in sliding-mean error,
-    em(tau - 1) - em(tau). Records where either mean is undefined are
-    skipped; if none qualify the choice is random. Ties go to the most
-    recent record.
+    em(tau - 1) - em(tau), with em as in ``sliding_mean_error``. Records
+    where either mean is undefined are skipped; if none qualify the
+    choice is random. Ties go to the most recent record.
+
+    One pass over the ring: the timesteps are strictly increasing, so each
+    mean is the sum of an index slice found by bisection, over the same
+    errors in the same order as ``sliding_mean_error``.
     """
     random_pick = _epsilon_random(cfg, rng)
     if random_pick is not None:
         return random_pick
+    records = list(history)
+    times = [r.t for r in records]
+    errors = [r.error for r in records]
     best_command: MotorCommand | None = None
-    best_progress = -np.inf
-    for record in history.recent(cfg.window):
-        try:
-            em_before = sliding_mean_error(history, record.t - 1, cfg.em_window)
-            em_now = sliding_mean_error(history, record.t, cfg.em_window)
-        except HistoryRangeError:
+    best_progress = -math.inf
+    for i in range(max(0, len(records) - cfg.window), len(records)):
+        t = times[i]
+        # em(t - 1) covers (t - 1 - em_window, t - 1], which ends before i.
+        lo_before = bisect_right(times, t - 1 - cfg.em_window, 0, i)
+        if lo_before == i:
             continue
-        progress = em_before - em_now
+        lo_now = bisect_right(times, t - cfg.em_window, lo_before, i)
+        progress = sum(errors[lo_before:i]) / (i - lo_before) - sum(
+            errors[lo_now:i + 1]
+        ) / (i + 1 - lo_now)
         if progress >= best_progress:
-            best_command = record.command
+            best_command = records[i].command
             best_progress = progress
     if best_command is None:
         return choose_random(rng)

@@ -3,9 +3,18 @@ weights and a linear readout.
 
 The readout is solved either in one shot from the Moore-Penrose
 pseudo-inverse of the hidden-layer matrix (``fit_batch``) or kept up to
-date sample by sample with recursive least squares (``update_online``).
-Both routes converge to the same minimum-norm least-squares readout as
-the regularisation scale goes to zero.
+date sample by sample with recursive least squares (``update_online``,
+after OS-ELM: Liang et al. 2006, IEEE TNN). On well-conditioned hidden
+layers the two routes reach the same minimum-norm least-squares readout
+as the regularisation scale goes to zero. At the default scale of the
+closed-loop experiment the hidden layer is badly conditioned (many
+saturated units, some constant): there the two readouts agree on their
+predictions but not on their parameters, which can differ by about 100%.
+
+The closed loop calls the two pieces of ``predict`` and ``update_online``
+directly, so that each step evaluates the hidden layer and the forecast
+once: ``forward`` returns both, and ``rls_update`` folds the sample into
+the readout and the accumulator in place.
 """
 
 from __future__ import annotations
@@ -153,6 +162,13 @@ def hidden_activations(state: ElmState, x: np.ndarray) -> np.ndarray:
     )
 
 
+def forward(state: ElmState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden response h and forecast ``readout @ h`` for one input vector
+    (frame and velocity concatenated)."""
+    h = hidden_activations(state, x)
+    return h, state.readout @ h
+
+
 def predict(state: ElmState, frame: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     """Forecast the next sensor frame from the current frame and velocity.
 
@@ -170,8 +186,7 @@ def predict(state: ElmState, frame: np.ndarray, velocity: np.ndarray) -> np.ndar
             f"velocity has shape {velocity.shape}, "
             f"expected ({state.input_dim - state.output_dim},)"
         )
-    x = np.concatenate([frame, velocity])
-    return state.readout @ hidden_activations(state, x)
+    return forward(state, np.concatenate([frame, velocity]))[1]
 
 
 def pseudo_inverse(matrix: np.ndarray, tolerance: float = 0.0) -> np.ndarray:
@@ -257,20 +272,34 @@ def fit_batch(
 def update_online(
     state: ElmState, pair: tuple[np.ndarray, np.ndarray]
 ) -> ElmState:
-    """Fold one sample into the readout with recursive least squares.
-
-    With P the inverse-Gram accumulator and h the hidden response:
-    ``k = P h / (1 + h' P h)``, ``readout += (y - readout h) k'`` and
-    ``P -= (P h)(P h)' / (1 + h' P h)``. P is re-symmetrised afterwards
-    to suppress round-off drift.
-    """
+    """Fold one sample into a copy of the readout with recursive least
+    squares (see ``rls_update``); ``state`` itself is left unchanged."""
     x, y = pair
     y = np.asarray(y, dtype=float)
     if y.shape != (state.output_dim,):
         raise DimensionError(
             f"target has shape {y.shape}, expected ({state.output_dim},)"
         )
-    h = hidden_activations(state, x)
+    h, forecast = forward(state, x)
+    updated = replace(
+        state, readout=state.readout.copy(), inv_gram=state.inv_gram.copy()
+    )
+    rls_update(updated, h, forecast, y)
+    return updated
+
+
+def rls_update(
+    state: ElmState, h: np.ndarray, forecast: np.ndarray, target: np.ndarray
+) -> None:
+    """Fold one sample into ``state`` in place with recursive least squares.
+
+    ``h`` and ``forecast`` are ``forward``'s output for the sample's input
+    on this state. With P the inverse-Gram accumulator:
+    ``k = P h / (1 + h' P h)``, ``readout += (target - forecast) k'`` and
+    ``P -= (P h)(P h)' / (1 + h' P h)``. P is re-symmetrised afterwards
+    to suppress round-off drift. A denominator that is not finite and
+    positive raises ``NumericError`` before anything is changed.
+    """
     ph = state.inv_gram @ h
     denom = 1.0 + h @ ph
     if not np.isfinite(denom) or denom <= 0.0:
@@ -278,16 +307,10 @@ def update_online(
             f"recursive update denominator is {denom!r}; accumulator degenerate"
         )
     gain = ph / denom
-    residual = y - state.readout @ h
-    readout = state.readout + np.outer(residual, gain)
+    state.readout += np.outer(target - forecast, gain)
     inv_gram = state.inv_gram - np.outer(ph, ph) / denom
-    inv_gram = (inv_gram + inv_gram.T) / 2.0
-    return replace(
-        state,
-        readout=readout,
-        inv_gram=inv_gram,
-        samples_seen=state.samples_seen + 1,
-    )
+    np.divide(inv_gram + inv_gram.T, 2.0, out=state.inv_gram)
+    state.samples_seen += 1
 
 
 def prediction_error(predicted: np.ndarray, actual: np.ndarray) -> float:

@@ -10,6 +10,7 @@ the control policy differs between cells.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .controllers import (
     ErrorHistory,
     choose_action,
 )
-from .elm import ElmConfig, ElmState, init_elm, predict, prediction_error, update_online
+from .elm import ElmConfig, ElmState, forward, init_elm, prediction_error, rls_update
 from .errors import ConfigError, NumericError
 from .world import (
     CameraState,
@@ -175,6 +176,7 @@ def initial_camera(world: WorldImage, config: ExperimentConfig) -> CameraState:
 def run_experiment(
     config: ExperimentConfig,
     *,
+    world: WorldImage | None = None,
     force_command: MotorCommand | None = None,
 ) -> RunResult:
     """Execute one seeded run and return its trace, metrics and model.
@@ -182,11 +184,16 @@ def run_experiment(
     Each step observes the current frame, picks a command from the error
     history, forecasts the next frame for that command, moves, observes
     the new frame, scores the forecast, and trains the model online on
-    the transition. ``force_command`` bypasses the controller (testing
-    hook for pinned-action runs).
+    the transition. The hidden response and the forecast are computed
+    once and serve both the score and the update, which changes the
+    model in place. ``world`` is the scene ``load_world(config)`` returns,
+    for callers that have already loaded it. ``force_command`` bypasses
+    the controller (testing hook for pinned-action runs).
 
-    A numerical failure inside the online update aborts the run; the
-    partial trace comes back flagged invalid instead of raising.
+    A non-finite prediction error or a numerical failure inside the
+    online update aborts the run before the step is trained on or
+    logged; the partial trace comes back flagged invalid instead of
+    raising.
     """
     elm_seed, noise_seed, controller_seed, _ = _derived_seeds(config.master_seed)
     elm_config = replace(config.elm, seed=elm_seed)
@@ -194,7 +201,8 @@ def run_experiment(
     noise_rng = np.random.default_rng(noise_seed)
     controller_rng = np.random.default_rng(controller_seed)
 
-    world = load_world(config)
+    if world is None:
+        world = load_world(config)
     if world.width < config.window_w or world.height < config.window_h:
         raise ConfigError(
             f"{world.width}x{world.height} image is smaller than the camera window"
@@ -207,6 +215,16 @@ def run_experiment(
     trace: list[StepRecord] = []
     kind = controller_config.kind
 
+    def aborted(failure: str) -> RunResult:
+        return RunResult(
+            config=config,
+            trace=trace,
+            metrics=compute_metrics(trace) if trace else None,
+            elm_state=state,
+            valid=False,
+            failure=failure,
+        )
+
     for t in range(config.steps):
         frame = observe(world, cam, config.noise, noise_rng)
         if force_command is not None:
@@ -214,23 +232,16 @@ def run_experiment(
         else:
             command = choose_action(kind, history, controller_config, controller_rng)
         velocity = command_to_velocity(command)
-        forecast = predict(state, frame, velocity)
+        h, forecast = forward(state, np.concatenate([frame, velocity]))
         cam = apply_motor(world, cam, command)
         next_frame = observe(world, cam, config.noise, noise_rng)
         error = prediction_error(forecast, next_frame)
+        if not math.isfinite(error):
+            return aborted(f"prediction error is {error!r} at step {t}")
         try:
-            state = update_online(
-                state, (np.concatenate([frame, velocity]), next_frame)
-            )
+            rls_update(state, h, forecast, next_frame)
         except NumericError as exc:
-            return RunResult(
-                config=config,
-                trace=trace,
-                metrics=compute_metrics(trace) if trace else None,
-                elm_state=state,
-                valid=False,
-                failure=str(exc),
-            )
+            return aborted(str(exc))
         history.append(t, command, error)
         trace.append(
             StepRecord(t=t, cam_x=cam.left, cam_y=cam.top, command=command, error=error)

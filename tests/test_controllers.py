@@ -8,6 +8,8 @@ mean definition.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visuomotor.controllers import (
     ControllerConfig,
@@ -274,6 +276,57 @@ def test_maxlp_matches_manual_oracle_on_random_histories():
             assert got in COMMANDS
         else:
             assert got == best
+
+
+def reference_maxlp(history, cfg, rng):
+    """MaxLP as a plain scan: both sliding means of every record in the
+    window, each from ``sliding_mean_error``."""
+    if rng.random() < cfg.epsilon:
+        return choose_random(rng)
+    best, best_progress = None, -np.inf
+    for record in history.recent(cfg.window):
+        try:
+            before = sliding_mean_error(history, record.t - 1, cfg.em_window)
+            now = sliding_mean_error(history, record.t, cfg.em_window)
+        except HistoryRangeError:
+            continue
+        if before - now >= best_progress:
+            best, best_progress = record.command, before - now
+    return choose_random(rng) if best is None else best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.integers(1, 4),  # gap to the previous timestep
+            st.integers(0, len(COMMANDS) - 1),
+            st.integers(0, 8),  # errors on a coarse grid make ties common
+        ),
+        max_size=45,
+    ),
+    capacity=st.integers(1, 40),
+    window=st.integers(1, 25),
+    em_window=st.integers(1, 12),
+    epsilon=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_maxlp_matches_reference_scan(
+    steps, capacity, window, em_window, epsilon, seed
+):
+    history = ErrorHistory(capacity=capacity)
+    t = -3
+    for gap, cmd, err in steps:
+        t += gap
+        history.append(t, COMMANDS[cmd], err / 8.0)
+    cfg = config_for(
+        ControllerKind.MAXLP, window=window, em_window=em_window, epsilon=epsilon
+    )
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert choose_maxlp(history, cfg, rng) == reference_maxlp(
+        history, cfg, reference_rng
+    )
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

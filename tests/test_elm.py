@@ -9,6 +9,7 @@ never call the code paths they check.
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from visuomotor.elm import (
     ElmConfig,
     ElmState,
     fit_batch,
+    forward,
     hidden_activations,
     init_elm,
     load_model,
     predict,
     prediction_error,
     pseudo_inverse,
+    rls_update,
     save_model,
     update_online,
 )
@@ -532,6 +535,52 @@ def test_online_deterministic_given_sequence():
         states.append(state)
     assert states[0].readout.tobytes() == states[1].readout.tobytes()
     assert states[0].inv_gram.tobytes() == states[1].inv_gram.tobytes()
+
+
+def test_online_is_pure_and_matches_in_place_kernel():
+    config = small_config(input_dim=6, hidden_count=9)
+    state = init_elm(config)
+    rng = np.random.default_rng(21)
+    for pair in make_pairs(15, rng, input_dim=6, output_dim=3):
+        state = update_online(state, pair)
+    x, y = make_pairs(1, rng, input_dim=6, output_dim=3)[0]
+    readout, inv_gram = state.readout.tobytes(), state.inv_gram.tobytes()
+
+    updated = update_online(state, (x, y))
+    assert state.readout.tobytes() == readout
+    assert state.inv_gram.tobytes() == inv_gram
+    assert state.samples_seen == 15
+
+    twin = replace(
+        state, readout=state.readout.copy(), inv_gram=state.inv_gram.copy()
+    )
+    h, forecast = forward(twin, x)
+    assert forecast.tobytes() == predict(state, x[:3], x[3:]).tobytes()
+    rls_update(twin, h, forecast, y)
+    assert twin.readout.tobytes() == updated.readout.tobytes()
+    assert twin.inv_gram.tobytes() == updated.inv_gram.tobytes()
+    assert twin.samples_seen == updated.samples_seen == 16
+
+    # The same elementwise steps, in the same order, as the RLS recursion
+    # written out with fresh arrays.
+    ph = state.inv_gram @ h
+    denom = 1.0 + h @ ph
+    expected_readout = state.readout + np.outer(y - state.readout @ h, ph / denom)
+    expected_inv_gram = state.inv_gram - np.outer(ph, ph) / denom
+    expected_inv_gram = (expected_inv_gram + expected_inv_gram.T) / 2.0
+    assert updated.readout.tobytes() == expected_readout.tobytes()
+    assert updated.inv_gram.tobytes() == expected_inv_gram.tobytes()
+
+
+def test_in_place_kernel_failure_changes_nothing():
+    state = manual_state(np.zeros((2, 3)), np.zeros(2), np.ones((1, 2)))
+    state.inv_gram = -10.0 * np.eye(2)
+    h, forecast = forward(state, np.zeros(3))
+    with pytest.raises(NumericError):
+        rls_update(state, h, forecast, np.zeros(1))
+    assert np.array_equal(state.readout, np.ones((1, 2)))
+    assert np.array_equal(state.inv_gram, -10.0 * np.eye(2))
+    assert state.samples_seen == 0
 
 
 # ---------------------------------------------------------------------------

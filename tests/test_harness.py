@@ -4,6 +4,8 @@ Full-scale behaviour is covered by the acceptance suite; these tests
 use small camera windows so each run takes milliseconds.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -135,20 +137,118 @@ def test_replaying_history_reproduces_non_random_commands():
 
 def test_numeric_failure_flags_partial_trace(monkeypatch):
     calls = {"n": 0}
-    real = harness.update_online
+    real = harness.rls_update
 
-    def failing(state, pair):
+    def failing(state, h, forecast, target):
         calls["n"] += 1
         if calls["n"] >= 5:
             raise NumericError("synthetic failure")
-        return real(state, pair)
+        return real(state, h, forecast, target)
 
-    monkeypatch.setattr(harness, "update_online", failing)
+    monkeypatch.setattr(harness, "rls_update", failing)
     result = run_experiment(tiny_config(steps=20))
     assert not result.valid
     assert "synthetic failure" in result.failure
     assert len(result.trace) == 4
     assert result.metrics is not None
+
+
+def nan_forecast_at(monkeypatch, step):
+    """Make the forecast of closed-loop step ``step`` all NaN."""
+    calls = {"n": 0}
+    real = harness.forward
+
+    def corrupting(state, x):
+        h, forecast = real(state, x)
+        calls["n"] += 1
+        if calls["n"] == step + 1:
+            forecast = np.full_like(forecast, np.nan)
+        return h, forecast
+
+    monkeypatch.setattr(harness, "forward", corrupting)
+
+
+def test_non_finite_error_ends_run_cleanly(monkeypatch):
+    nan_forecast_at(monkeypatch, 6)
+    result = run_experiment(tiny_config(steps=20))
+    assert not result.valid
+    assert "nan" in result.failure and "step 6" in result.failure
+    assert len(result.trace) == 6
+    assert result.metrics is not None
+    # The bad sample was not trained on.
+    assert result.elm_state.samples_seen == 6
+    assert np.all(np.isfinite(result.elm_state.readout))
+
+
+def test_cli_run_with_non_finite_error_is_runtime_error(monkeypatch, tmp_path, capsys):
+    from visuomotor import cli
+
+    nan_forecast_at(monkeypatch, 3)
+    argv = ["run", "--steps", "10", "--camera", "4", "--hidden", "5",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_RUNTIME
+    assert "run aborted after 3 steps" in capsys.readouterr().err
+    assert (tmp_path / "trace.csv").read_text().count("\n") == 4
+
+
+def test_cli_run_loads_the_scene_once(monkeypatch, tmp_path):
+    from visuomotor import cli
+
+    loads = []
+
+    def counting(config):
+        loads.append(config.master_seed)
+        return load_world(config)
+
+    monkeypatch.setattr(harness, "load_world", counting)
+    monkeypatch.setattr(cli, "load_world", counting)
+    argv = ["run", "--steps", "5", "--camera", "4", "--hidden", "5",
+            "--seed", "3", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert loads == [3]
+
+
+def test_given_world_matches_loaded_world():
+    config = tiny_config(kind=ControllerKind.MINPE, seed=12, steps=40)
+    given = run_experiment(config, world=load_world(config))
+    assert given.trace == run_experiment(config).trace
+
+
+def trace_sha256(trace):
+    digest = hashlib.sha256()
+    for r in trace:
+        digest.update(
+            f"{r.t},{r.cam_x},{r.cam_y},{r.command.value},{float.hex(r.error)}\n"
+            .encode()
+        )
+    return digest.hexdigest()
+
+
+# Recorded before the closed loop was fused (one hidden-layer pass per
+# step, in-place RLS, one-pass MaxLP); any change to the arithmetic or to
+# the order of random draws changes them.
+PINNED_TRACE_HASHES = {
+    ("rm", 1): "66d5adce043b10029ffd75651f1064aeb052e887bf0d23dfaa240e9481fa4b59",
+    ("rm", 2): "a37a0f1519ad9cd17828d753a4c33f831127e0551db61eb13af08bbd73be33b4",
+    ("minpe", 1): "035e3c4e6b430d3d59b9366a412eb9b844be52157b90c89ca093196f0f57843e",
+    ("minpe", 2): "4a961e68e380f11d9e94944000c6aedc50dbd34a3bfb7ea0cc357b77fcdd7fb3",
+    ("maxpe", 1): "281a69594fdba3c5d8222b199d1e0ab00fae736030ce555d67468b7ce750b92c",
+    ("maxpe", 2): "a7e59449e75a844786ed7648603d5e058dafcdb71f1e17adadbfb32fe37694dd",
+    ("maxlp", 1): "64309eba37c6f6a7d0e8e605e6797f9e55a8786687dc127f8e305a2f07686e66",
+    ("maxlp", 2): "668ea88a148c3900b01534cfe4fdaaee4aae8dcd2849898533ccc904ade0b521",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_traces_bit_identical_to_pinned_hashes(seed):
+    configs = [
+        default_config(kind, seed, steps=300, camera=8, hidden_count=10)
+        for kind in ControllerKind
+    ]
+    world = load_world(configs[0])  # the scene depends on the seed alone
+    for kind, config in zip(ControllerKind, configs):
+        result = run_experiment(config, world=world)
+        assert trace_sha256(result.trace) == PINNED_TRACE_HASHES[(kind.value, seed)], kind
 
 
 def test_image_file_source(tmp_path):
