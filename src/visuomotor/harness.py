@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -311,7 +312,7 @@ def _run_cell(config: ExperimentConfig) -> RunResult:
             metrics=None,
             elm_state=None,
             valid=False,
-            failure=f"{type(exc).__name__}: {exc}",
+            failure=f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
         )
 
 

@@ -5,6 +5,7 @@ synthetic image so nothing external is required."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -174,11 +175,112 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return value, pos
 
 
+# The P2 raster is parsed in blocks of about this many bytes, each ending on
+# a separator, so that the per-byte temporaries stay small and cache-resident.
+_RASTER_BLOCK = 1 << 16
+_IS_WHITESPACE = np.zeros(256, dtype=bool)
+_IS_WHITESPACE[list(_WHITESPACE)] = True
+_SEPARATOR = re.compile(rb"[ \t\n\r\x0b\x0c#]")
+_SIGNIFICANT_DIGITS = 5  # maxval <= 65535 has at most five
+
+
+def _p2_raster(
+    data: bytes, pos: int, count: int, maxval: int, out: np.ndarray | None
+) -> int:
+    """Parse up to ``count`` P2 samples starting at ``data[pos]``.
+
+    Writes them to ``out`` unless it is None and returns how many were
+    found. Raises ParseError at the first sample, in file order, that is
+    not a digit run or exceeds ``maxval``; bytes after the ``count``-th
+    sample are not looked at.
+    """
+    n = len(data)
+    found = 0
+    start = pos
+    while start < n and found < count:
+        separator = _SEPARATOR.search(data, start + _RASTER_BLOCK)
+        end = n if separator is None else separator.start()
+        # A comment runs from '#' to the end of its line; a block that
+        # ends inside one grows to hold it.
+        comments = []
+        hash_at = data.find(b"#", start, end)
+        while hash_at >= 0:
+            newline = data.find(b"\n", hash_at)
+            stop = n if newline < 0 else newline
+            comments.append((hash_at - start, stop - start))
+            end = max(end, stop)
+            hash_at = data.find(b"#", stop, end)
+        block = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
+        if comments:
+            block = block.copy()
+            for first, stop in comments:
+                block[first:stop] = ord(" ")
+
+        whitespace = _IS_WHITESPACE[block]
+        digit = block - ord("0")  # uint8: non-digits wrap to 10 or more
+        # Tokens are maximal runs of non-whitespace: [starts[i], ends[i]).
+        edges = np.flatnonzero(np.diff(~whitespace, prepend=False, append=False))
+        starts, ends = edges[0::2], edges[1::2]
+        if starts.size > count - found:
+            starts, ends = starts[: count - found], ends[: count - found]
+        if starts.size == 0:
+            start = end
+            continue
+        valid = ((digit < 10) | whitespace)[: ends[-1]]
+        bad_token = starts.size
+        if not valid.all():
+            first_bad = np.argmin(valid)
+            bad_token = int(np.searchsorted(starts, first_bad, side="right")) - 1
+
+        # Value of each token from its last five digits; a nonzero digit
+        # before those makes it too large for any maxval. Indices that fall
+        # before a short token's start are masked, and stay inside the
+        # block, which is longer than its longest token.
+        lengths = ends - starts
+        values = digit[ends - 1].astype(float)
+        for place in range(1, min(_SIGNIFICANT_DIGITS, int(lengths.max()))):
+            values += np.where(lengths > place, digit[ends - 1 - place], 0) * 10.0**place
+        long_tokens = np.flatnonzero(lengths > _SIGNIFICANT_DIGITS)
+        if long_tokens.size:
+            heads = np.empty(2 * long_tokens.size, dtype=np.intp)
+            heads[0::2] = starts[long_tokens]
+            heads[1::2] = ends[long_tokens] - _SIGNIFICANT_DIGITS
+            nonzero = (digit != 0) & (digit < 10)
+            values[long_tokens[np.logical_or.reduceat(nonzero, heads)[0::2]]] = np.inf
+
+        over = np.flatnonzero(values[:bad_token] > maxval)
+        if over.size:
+            offset = start + int(starts[over[0]])
+            token = _next_token(data, offset)[0]
+            raise ParseError(
+                f"sample value {token.lstrip(b'0').decode()} exceeds maxval",
+                offset=offset,
+            )
+        if bad_token < starts.size:
+            offset = start + int(starts[bad_token])
+            token = _next_token(data, offset)[0]
+            raise ParseError(f"invalid sample {token!r}", offset=offset)
+        if out is not None:
+            out[found : found + starts.size] = values
+        found += starts.size
+        start = end
+    return found
+
+
 def load_image(data: bytes) -> WorldImage:
     """Parse a PGM image (binary P5 or ASCII P2) into a WorldImage.
 
     Sample value v is mapped to v / maxval. Raises ParseError with the
     byte offset of the problem for malformed input.
+
+    A P2 raster is width * height samples, each a run of ASCII digits
+    (leading zeros allowed), separated by any mix of the six whitespace
+    bytes (space, tab, LF, CR, VT, FF) and ``#`` comments, which run to
+    the end of their line and may touch a sample on either side. Signs,
+    underscores and every other byte are errors. Bytes after the last
+    sample are ignored. Error offsets point at the first byte of the bad
+    sample; a raster with too few samples is reported at the end of the
+    input.
     """
     magic, magic_start, pos = _next_token(data, 0)
     if magic not in (b"P2", b"P5"):
@@ -208,14 +310,14 @@ def load_image(data: bytes) -> WorldImage:
         if values.max(initial=0.0) > maxval:
             raise ParseError("sample value exceeds maxval", offset=pos)
     else:
-        samples = np.empty(count)
-        for i in range(count):
-            value, pos = _int_token(data, pos, "sample")
-            if value < 0 or value > maxval:
-                raise ParseError(f"sample value {value} exceeds maxval", offset=pos)
-            samples[i] = value
-        values = samples
-    return WorldImage(pixels=(values / maxval).reshape(height, width))
+        # Every sample but the last needs a separator after it. A raster
+        # too short for count samples is still checked for a bad sample
+        # before its truncation is reported, but nothing is stored.
+        values = np.empty(count) if len(data) - pos >= 2 * count - 1 else None
+        if _p2_raster(data, pos, count, maxval, values) < count:
+            raise ParseError("truncated pixel payload", offset=len(data))
+    values /= maxval
+    return WorldImage(pixels=values.reshape(height, width))
 
 
 def quantize(values: np.ndarray, maxval: int = 255) -> np.ndarray:
@@ -250,8 +352,8 @@ def synthetic_image(
     rng = np.random.default_rng(seed)
     u = (np.arange(width) + 0.5) / max(width, height)
     v = (np.arange(height) + 0.5) / max(width, height)
-    uu, vv = np.meshgrid(u, v)
     field = np.zeros((height, width))
+    term = np.empty((height, width))
     f_low, f_high = 1.5, 64.0
     for k in range(components):
         freq = f_low * (f_high / f_low) ** (k / max(components - 1, 1))
@@ -259,10 +361,19 @@ def synthetic_image(
         phase = rng.uniform(0.0, 2.0 * np.pi)
         fx = freq * np.cos(angle)
         fy = freq * np.sin(angle)
-        field += np.sin(2.0 * np.pi * (fx * uu + fy * vv) + phase) / freq**0.3
+        # sin(2π (fx u + fy v) + phase) / freq^0.3, one operation at a time
+        # in one buffer; IEEE addition commutes, so the outer sum
+        # fy v + fx u rounds exactly as fx u + fy v.
+        np.add.outer(fy * v, fx * u, out=term)
+        term *= 2.0 * np.pi
+        term += phase
+        np.sin(term, out=term)
+        term /= freq**0.3
+        field += term
     low, high = field.min(), field.max()
     if high > low:
-        field = (field - low) / (high - low)
+        field -= low
+        field /= high - low
     else:
         field = np.full_like(field, 0.5)
     return WorldImage(pixels=field)

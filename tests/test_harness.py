@@ -400,6 +400,9 @@ def test_comparison_isolates_cell_failures(monkeypatch):
     failed = comparison.results[(ControllerKind.MAXPE, 1)]
     assert not failed.valid
     assert "boom" in failed.failure
+    # The traceback survives and names the function that raised.
+    assert "Traceback" in failed.failure
+    assert "in flaky" in failed.failure
     assert ControllerKind.MAXPE not in comparison.summary
     # Failed cells rank last.
     assert comparison.rankings[1][-1] == ControllerKind.MAXPE

@@ -1,8 +1,14 @@
 """Tests for the image world: PGM parsing, camera motion, observation."""
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from visuomotor import world
 from visuomotor.errors import ConfigError, ParseError
 from visuomotor.world import (
     COMMANDS,
@@ -79,8 +85,9 @@ def test_nonnumeric_header_rejected():
 
 
 def test_p2_sample_above_maxval_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         load_image(b"P2\n1 1\n10\n11\n")
+    assert info.value.offset == 10  # the sample's first byte
 
 
 def test_p2_round_trip_identity():
@@ -88,6 +95,153 @@ def test_p2_round_trip_identity():
     original = WorldImage(rng.integers(0, 256, (9, 13)) / 255.0)
     reloaded = load_image(to_pgm_p2(original))
     assert np.array_equal(reloaded.pixels, original.pixels)
+
+
+def reference_load_p2(data):
+    """The per-token loop that the block-vectorised P2 parser replaced.
+
+    Kept as the reference for the parser's behaviour, with one change: a
+    sample above maxval is reported at its first byte, not the byte after.
+    Python's int() also accepts signs and underscores, which the parser
+    now rejects, so inputs for comparing the two must not contain them.
+    """
+    magic, _, pos = world._next_token(data, 0)
+    assert magic == b"P2"
+    width, pos = world._int_token(data, pos, "width")
+    height, pos = world._int_token(data, pos, "height")
+    maxval, pos = world._int_token(data, pos, "maxval")
+    samples = np.empty(width * height)
+    for i in range(width * height):
+        start = world._next_token(data, pos)[1]
+        value, pos = world._int_token(data, pos, "sample")
+        if value < 0 or value > maxval:
+            raise ParseError(f"sample value {value} exceeds maxval", offset=start)
+        samples[i] = value
+    return (samples / maxval).reshape(height, width)
+
+
+def assert_parsers_agree(data):
+    try:
+        expected = reference_load_p2(data)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            load_image(data)
+        assert info.value.offset == exc.offset
+    else:
+        assert np.array_equal(load_image(data).pixels, expected)
+
+
+# Runs of every whitespace byte, and comments that touch the tokens
+# around them or hold '#' and non-ASCII bytes.
+_SEPARATORS = [
+    b" ", b"\t", b"\n", b"\r\n", b"\x0b", b"\x0c", b" \t\x0b\x0c\r\n  ",
+    b"#\n", b"#c#\xff\n", b"  # x 1\n\t", b"\n#\n#\n",
+]
+# Bytes that int() rejects anywhere in a token: no digits, whitespace,
+# comment marks, signs or underscores.
+_JUNK = [bytes([b]) for b in range(256) if bytes([b]) not in
+         b"0123456789 \t\n\r\x0b\x0c#+-_"]
+
+
+@st.composite
+def p2_files(draw):
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    maxval = draw(st.sampled_from([1, 9, 255, 1000, 65535]))
+    count = width * height
+    sample = st.builds(
+        lambda zeros, value: b"0" * zeros + str(value).encode(),
+        st.integers(0, 25),
+        st.one_of(st.integers(0, maxval + 2), st.integers(0, 10**12)),
+    )
+    bad = st.builds(
+        lambda head, junk: head + junk, st.sampled_from([b"", b"1", b"007"]),
+        st.sampled_from([j + t for j in _JUNK for t in (b"", b"2")]),
+    )
+    tokens = draw(st.lists(
+        st.tuples(st.sampled_from(_SEPARATORS), st.one_of(sample, sample, sample, bad)),
+        min_size=max(count - 1, 0), max_size=count + 2,
+    ))
+    raster = b"".join(separator + token for separator, token in tokens)
+    # Ends with nothing, a newline, a comment at EOF with no newline, or
+    # junk, which both parsers ignore when enough samples precede it.
+    raster += draw(st.sampled_from(
+        [b"", b"\n", b" #", b"#tail"] + [b" " + j + b"7" for j in _JUNK[::17]]
+    ))
+    return f"P2\n{width} {height}\n{maxval}".encode() + raster
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=p2_files(), block=st.sampled_from([1, 2, 3, 5, 8, 1 << 16]))
+def test_p2_parser_matches_reference_loop(data, block):
+    # Tiny blocks put block boundaries inside tokens, runs and comments.
+    with mock.patch.object(world, "_RASTER_BLOCK", block):
+        assert_parsers_agree(data)
+
+
+def test_p2_parser_matches_reference_across_blocks():
+    rng = np.random.default_rng(11)
+    samples = rng.integers(0, 256, (150, 200))
+    rows = []
+    for i, row in enumerate(samples):
+        line = " \t ".join(f"{v:03d}" if i % 3 else str(v) for v in row).encode()
+        rows.append(line + (b" # 7" * 20_000 + b"\n" if i == 40 else b"\r\n"))
+    data = b"P2\n200 150\n255\n" + b"".join(rows)
+    comment = data.index(b"#")
+    assert comment < world._RASTER_BLOCK < comment + 80_000  # spans a boundary
+    assert len(data) > 3 * world._RASTER_BLOCK
+    assert_parsers_agree(data)
+    assert np.array_equal(load_image(data).pixels, samples / 255)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    header=st.sampled_from([
+        b"P2\n3 2\n255\n", b"P2 2 2 65535 ", b"P2\n1 1\n1#c\n",
+        b"P5\n3 2\n255\n", b"P5\n2 2\n65535\n", b"P5 1 1 1 ",
+    ]),
+    tail=st.one_of(
+        st.binary(max_size=40),
+        st.text(alphabet="0123456789 \t\n#x+-_", max_size=40).map(str.encode),
+    ),
+)
+def test_bytes_after_valid_header_parse_or_raise_parse_error(header, tail):
+    try:
+        image = load_image(header + tail)
+    except ParseError:
+        return
+    assert isinstance(image, WorldImage)
+
+
+@pytest.mark.parametrize("token", [b"+5", b"-0", b"1_0", b"0x1", b"5."])
+def test_p2_sample_must_be_a_digit_run(token):
+    data = b"P2\n3 1\n9\n1 " + token + b" 2\n"
+    with pytest.raises(ParseError) as info:
+        load_image(data)
+    assert info.value.offset == data.index(token)
+    assert "invalid sample" in str(info.value)
+
+
+def test_p2_header_larger_than_raster_is_truncated_not_allocated():
+    data = b"P2\n100000 100000\n255\n0\n"
+    with pytest.raises(ParseError) as info:
+        load_image(data)
+    assert "truncated" in str(info.value)
+    assert info.value.offset == len(data)
+
+
+def test_p2_bad_sample_in_short_raster_is_named():
+    data = b"P2\n4 4\n255\n1 x 2"
+    with pytest.raises(ParseError) as info:
+        load_image(data)
+    assert info.value.offset == data.index(b"x")
+
+
+def test_p2_oversized_sample_with_leading_zeros():
+    data = b"P2\n2 1\n65535\n" + b"0" * 20 + b"65535 00000000065536\n"
+    with pytest.raises(ParseError) as info:
+        load_image(data)
+    assert info.value.offset == data.index(b"00000000065536")
+    assert "65536" in str(info.value)
 
 
 def test_quantize_round_half_up():
@@ -264,3 +418,16 @@ def test_synthetic_image_is_smooth():
     dx = np.abs(np.diff(image.pixels, axis=1)).max()
     dy = np.abs(np.diff(image.pixels, axis=0)).max()
     assert max(dx, dy) < 0.1  # one-pixel steps change intensity gradually
+
+
+@pytest.mark.parametrize("kwargs, digest", [
+    (dict(width=512, height=512, seed=0),
+     "45c16e6acdfe627d87b83a632b3adc8b881a47164347202545daf7e5e65d43cb"),
+    (dict(width=48, height=40, seed=3),
+     "6b9344289d4516a15b952ef8cf56c8d8aedc7b55276d28b89cb021eca77e4ff6"),
+    (dict(width=7, height=13, seed=1, components=1),
+     "2e835090a9eb9f7f73ecbb5c4187083579c9629849120f53c383d1973456c326"),
+])
+def test_synthetic_image_pixels_are_pinned(kwargs, digest):
+    pixels = synthetic_image(**kwargs).pixels
+    assert hashlib.sha256(pixels.tobytes()).hexdigest() == digest
