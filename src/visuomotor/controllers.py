@@ -175,16 +175,24 @@ def choose_maxlp(
     errors = [r.error for r in records]
     best_command: MotorCommand | None = None
     best_progress = -math.inf
+    prev_t = prev_lo = prev_mean = None
     for i in range(max(0, len(records) - cfg.window), len(records)):
         t = times[i]
-        # em(t - 1) covers (t - 1 - em_window, t - 1], which ends before i.
-        lo_before = bisect_right(times, t - 1 - cfg.em_window, 0, i)
-        if lo_before == i:
-            continue
+        if t - 1 == prev_t:
+            # Record i - 1 sits at t - 1, so its em(t - 1) was the sum of
+            # this very slice, errors[prev_lo:i], divided by the same count:
+            # reusing it gives the same float.
+            lo_before, mean_before = prev_lo, prev_mean
+        else:
+            # em(t - 1) covers (t - 1 - em_window, t - 1], which ends before i.
+            lo_before = bisect_right(times, t - 1 - cfg.em_window, 0, i)
+            if lo_before == i:
+                continue
+            mean_before = sum(errors[lo_before:i]) / (i - lo_before)
         lo_now = bisect_right(times, t - cfg.em_window, lo_before, i)
-        progress = sum(errors[lo_before:i]) / (i - lo_before) - sum(
-            errors[lo_now:i + 1]
-        ) / (i + 1 - lo_now)
+        mean_now = sum(errors[lo_now:i + 1]) / (i + 1 - lo_now)
+        prev_t, prev_lo, prev_mean = t, lo_now, mean_now
+        progress = mean_before - mean_now
         if progress >= best_progress:
             best_command = records[i].command
             best_progress = progress

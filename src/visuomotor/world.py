@@ -48,12 +48,27 @@ class WorldImage:
     pixels: np.ndarray  # (height, width) float64
 
     def __post_init__(self):
-        pixels = np.array(self.pixels, dtype=float)  # own private copy
+        # A private copy, so that later writes to the caller's array
+        # cannot reach the image.
+        self._own(np.array(self.pixels, dtype=float))
+
+    @classmethod
+    def _adopt(cls, pixels: np.ndarray) -> WorldImage:
+        """Wrap a fresh float64 array that no one else will write to,
+        without copying it; the checks are the same."""
+        image = object.__new__(cls)
+        image._own(pixels)
+        return image
+
+    def _own(self, pixels: np.ndarray) -> None:
         if pixels.ndim != 2 or pixels.size == 0:
             raise ConfigError("image must be a non-empty 2-D array")
-        if not np.all(np.isfinite(pixels)):
+        # NaN and +-inf carry through min and max, so two scans check both
+        # finiteness and range.
+        low, high = pixels.min(), pixels.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ConfigError("image has non-finite pixels")
-        if pixels.min() < 0.0 or pixels.max() > 1.0:
+        if low < 0.0 or high > 1.0:
             raise ConfigError("image intensities must lie in [0, 1]")
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
@@ -135,11 +150,19 @@ def observe(
     """
     _check_camera(world, cam)
     window = world.pixels[cam.top : cam.top + cam.height, cam.left : cam.left + cam.width]
-    frame = window.astype(float).ravel()
     if noise.sigma > 0.0:
-        frame += rng.normal(0.0, noise.sigma, frame.size)
-        np.clip(frame, 0.0, 1.0, out=frame)
-    return frame
+        # The noise is drawn first and the window added into it, which saves
+        # copying the window: IEEE addition commutes, so each sum rounds as
+        # window + noise did. maximum then minimum clamp as np.clip does,
+        # with less call overhead; they could disagree with it only on the
+        # sign of a zero, and a -0 sum needs a -0 pixel and a -0 noise draw.
+        frame = rng.normal(0.0, noise.sigma, cam.pixel_count)
+        noisy = frame.reshape(cam.height, cam.width)  # a view of frame
+        noisy += window
+        np.maximum(frame, 0.0, out=frame)
+        np.minimum(frame, 1.0, out=frame)
+        return frame
+    return window.flatten()
 
 
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
@@ -278,9 +301,9 @@ def load_image(data: bytes) -> WorldImage:
     bytes (space, tab, LF, CR, VT, FF) and ``#`` comments, which run to
     the end of their line and may touch a sample on either side. Signs,
     underscores and every other byte are errors. Bytes after the last
-    sample are ignored. Error offsets point at the first byte of the bad
-    sample; a raster with too few samples is reported at the end of the
-    input.
+    sample are ignored. In both formats, error offsets point at the first
+    byte of the bad sample; a raster with too few samples is reported at
+    the end of the input.
     """
     magic, magic_start, pos = _next_token(data, 0)
     if magic not in (b"P2", b"P5"):
@@ -308,7 +331,10 @@ def load_image(data: bytes) -> WorldImage:
         else:
             values = np.frombuffer(raw, dtype=">u2").astype(float)
         if values.max(initial=0.0) > maxval:
-            raise ParseError("sample value exceeds maxval", offset=pos)
+            first = int(np.argmax(values > maxval))
+            raise ParseError(
+                "sample value exceeds maxval", offset=pos + first * sample_bytes
+            )
     else:
         # Every sample but the last needs a separator after it. A raster
         # too short for count samples is still checked for a bad sample
@@ -317,7 +343,7 @@ def load_image(data: bytes) -> WorldImage:
         if _p2_raster(data, pos, count, maxval, values) < count:
             raise ParseError("truncated pixel payload", offset=len(data))
     values /= maxval
-    return WorldImage(pixels=values.reshape(height, width))
+    return WorldImage._adopt(values.reshape(height, width))
 
 
 def quantize(values: np.ndarray, maxval: int = 255) -> np.ndarray:
@@ -376,4 +402,4 @@ def synthetic_image(
         field /= high - low
     else:
         field = np.full_like(field, 0.5)
-    return WorldImage(pixels=field)
+    return WorldImage._adopt(field)

@@ -572,6 +572,37 @@ def test_online_is_pure_and_matches_in_place_kernel():
     assert updated.inv_gram.tobytes() == expected_inv_gram.tobytes()
 
 
+@pytest.mark.parametrize("output_dim, hidden_count", [(1024, 30), (64, 30), (1, 1)])
+def test_in_place_kernel_matches_outer_recursion_at_loop_shapes(
+    output_dim, hidden_count
+):
+    # BLAS picks its kernels by shape, so the bit-for-bit match with the
+    # np.outer recursion is checked at the closed loop's own shapes, over
+    # several steps. Every seventh target equals its forecast, so its
+    # residual is +0, and np.outer gives -0 where the gain is negative.
+    config = ElmConfig(
+        input_dim=output_dim + 2, output_dim=output_dim,
+        hidden_count=hidden_count, seed=5,
+    )
+    state = init_elm(config)
+    readout, inv_gram = state.readout.copy(), state.inv_gram.copy()
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        x = np.concatenate([rng.uniform(0, 1, output_dim), rng.integers(-1, 2, 2)])
+        y = rng.uniform(0, 1, output_dim)
+        h, forecast = forward(state, x)
+        y[1::7] = forecast[1::7]
+        rls_update(state, h, forecast, y)
+
+        ph = inv_gram @ h
+        denom = 1.0 + h @ ph
+        readout = readout + np.outer(y - readout @ h, ph / denom)
+        inv_gram = inv_gram - np.outer(ph, ph) / denom
+        inv_gram = (inv_gram + inv_gram.T) / 2.0
+        assert state.readout.tobytes() == readout.tobytes()
+        assert state.inv_gram.tobytes() == inv_gram.tobytes()
+
+
 def test_in_place_kernel_failure_changes_nothing():
     state = manual_state(np.zeros((2, 3)), np.zeros(2), np.ones((1, 2)))
     state.inv_gram = -10.0 * np.eye(2)

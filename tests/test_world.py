@@ -90,6 +90,17 @@ def test_p2_sample_above_maxval_rejected():
     assert info.value.offset == 10  # the sample's first byte
 
 
+@pytest.mark.parametrize("data, offset", [
+    (b"P5\n2 1\n10\n\x00\x0b", 11),
+    (b"P5\n3 1\n300\n\x00\x01\x00\x02\x01\x2d", 15),
+])
+def test_p5_sample_above_maxval_reported_at_its_first_byte(data, offset):
+    with pytest.raises(ParseError) as info:
+        load_image(data)
+    assert "exceeds maxval" in str(info.value)
+    assert info.value.offset == offset
+
+
 def test_p2_round_trip_identity():
     rng = np.random.default_rng(7)
     original = WorldImage(rng.integers(0, 256, (9, 13)) / 255.0)
@@ -387,8 +398,11 @@ def test_world_image_validation():
         WorldImage(np.array([[1.5]]))
     with pytest.raises(ConfigError):
         WorldImage(np.array([[-0.1]]))
-    with pytest.raises(ConfigError):
-        WorldImage(np.array([[np.nan]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        pixels = np.full((3, 3), 0.5)
+        pixels[1, 2] = bad
+        with pytest.raises(ConfigError, match="non-finite"):
+            WorldImage(pixels)
     with pytest.raises(ConfigError):
         WorldImage(np.zeros(4))
 
@@ -397,6 +411,28 @@ def test_world_image_is_immutable():
     image = WorldImage(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         image.pixels[0, 0] = 1.0
+
+
+def test_world_image_copies_arrays_from_outside():
+    source = np.full((3, 4), 0.25)
+    image = WorldImage(source)
+    source[0, 0] = 0.75
+    assert source.flags.writeable
+    assert np.all(image.pixels == 0.25)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_image(b"P2\n2 2\n255\n0 255\n255 0\n"),
+    lambda: load_image(b"P5\n2 2\n255\n" + bytes([0, 64, 128, 255])),
+    lambda: load_image(b"P5\n2 1\n65535\n\x01\x00\xff\xff"),
+    lambda: synthetic_image(16, 12, seed=2),
+    lambda: synthetic_image(4, 4, components=0),  # constant 0.5 scene
+])
+def test_builder_pixels_are_read_only(build):
+    image = build()
+    assert image.pixels.dtype == np.float64
+    with pytest.raises(ValueError):
+        image.pixels[0, 0] = 0.5
 
 
 def test_synthetic_image_is_seeded_and_in_range():
