@@ -6,118 +6,4 @@ and the motor command, while a control policy balances exploring the
 scene against staying where prediction already works.
 """
 
-from .controllers import (
-    ControllerConfig,
-    ControllerKind,
-    ErrorHistory,
-    HistoryRecord,
-    choose_action,
-    choose_maxlp,
-    choose_maxpe,
-    choose_minpe,
-    choose_random,
-    sliding_mean_error,
-)
-from .elm import (
-    ElmConfig,
-    ElmState,
-    TrainingPair,
-    fit_batch,
-    hidden_activations,
-    init_elm,
-    load_model,
-    predict,
-    prediction_error,
-    pseudo_inverse,
-    save_model,
-    update_online,
-)
-from .errors import (
-    ConfigError,
-    DimensionError,
-    HistoryRangeError,
-    NumericError,
-    ParseError,
-    VisuomotorError,
-)
-from .harness import (
-    ComparisonResult,
-    ExperimentConfig,
-    KindSummary,
-    Metrics,
-    RunResult,
-    StepRecord,
-    compute_metrics,
-    default_config,
-    initial_camera,
-    load_world,
-    run_comparison,
-    run_experiment,
-)
-from .world import (
-    CameraState,
-    MotorCommand,
-    NoiseModel,
-    WorldImage,
-    apply_motor,
-    command_to_velocity,
-    load_image,
-    observe,
-    synthetic_image,
-    to_pgm_p2,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CameraState",
-    "ComparisonResult",
-    "ConfigError",
-    "ControllerConfig",
-    "ControllerKind",
-    "DimensionError",
-    "ElmConfig",
-    "ElmState",
-    "ErrorHistory",
-    "ExperimentConfig",
-    "HistoryRangeError",
-    "HistoryRecord",
-    "KindSummary",
-    "Metrics",
-    "MotorCommand",
-    "NoiseModel",
-    "NumericError",
-    "ParseError",
-    "RunResult",
-    "StepRecord",
-    "TrainingPair",
-    "VisuomotorError",
-    "WorldImage",
-    "apply_motor",
-    "choose_action",
-    "choose_maxlp",
-    "choose_maxpe",
-    "choose_minpe",
-    "choose_random",
-    "command_to_velocity",
-    "compute_metrics",
-    "default_config",
-    "fit_batch",
-    "hidden_activations",
-    "init_elm",
-    "initial_camera",
-    "load_image",
-    "load_model",
-    "load_world",
-    "observe",
-    "predict",
-    "prediction_error",
-    "pseudo_inverse",
-    "run_comparison",
-    "run_experiment",
-    "save_model",
-    "sliding_mean_error",
-    "synthetic_image",
-    "to_pgm_p2",
-    "update_online",
-]

@@ -1,6 +1,6 @@
-"""Command-line front end: run one experiment, compare controllers over
-seeds, or self-check the numerical core. Results land as CSV traces,
-summary tables and PGM window dumps."""
+"""Command-line front end: run one experiment, or compare controllers
+over seeds. Results land as CSV traces, summary tables and PGM window
+dumps."""
 
 from __future__ import annotations
 
@@ -12,15 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import controllers, elm, world
-from .controllers import ControllerConfig, ControllerKind, ErrorHistory
+from . import elm, world
+from .controllers import ControllerKind
 from .errors import VisuomotorError
 from .harness import (
     ComparisonResult,
+    ExperimentConfig,
     RunResult,
     StepRecord,
     default_config,
-    initial_camera,
     load_world,
     run_comparison,
     run_experiment,
@@ -49,35 +49,40 @@ def _default_out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, "out")
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--steps", type=int, default=5000)
-    parser.add_argument("--image", default="synthetic",
+def _add_run_flags(parser: argparse.ArgumentParser,
+                   defaults: ExperimentConfig) -> None:
+    parser.add_argument("--steps", type=int, default=defaults.steps)
+    parser.add_argument("--image", default=defaults.image_source,
                         help="PGM path, or 'synthetic' for the built-in scene")
-    parser.add_argument("--sigma", type=float, default=0.01,
+    parser.add_argument("--sigma", type=float, default=defaults.noise.sigma,
                         help="sensor noise level")
-    parser.add_argument("--epsilon", type=float, default=0.2,
+    parser.add_argument("--epsilon", type=float,
+                        default=defaults.controller.epsilon,
                         help="random-command probability")
-    parser.add_argument("--hidden", type=int, default=30,
+    parser.add_argument("--hidden", type=int, default=defaults.elm.hidden_count,
                         help="hidden neuron count")
-    parser.add_argument("--window", type=int, default=20,
+    parser.add_argument("--window", type=int, default=defaults.controller.window,
                         help="controller lookback window")
-    parser.add_argument("--em-window", type=int, default=10,
+    parser.add_argument("--em-window", type=int,
+                        default=defaults.controller.em_window,
                         help="sliding-mean width for learning progress")
-    parser.add_argument("--camera", type=int, default=32,
+    parser.add_argument("--camera", type=int, default=defaults.window_w,
                         help="camera window side, in pixels")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default: ${OUT_DIR_ENV} or ./out)")
 
 
 def build_parser() -> _Parser:
+    # Every experiment default comes from the config dataclasses.
+    defaults = ExperimentConfig()
     parser = _Parser(prog="visuomotor", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     run = sub.add_parser("run", help="run one experiment")
     run.add_argument("--controller", choices=[k.value for k in ALL_KINDS],
-                     default="rm")
-    run.add_argument("--seed", type=int, default=0)
-    _add_run_flags(run)
+                     default=defaults.controller.kind.value)
+    run.add_argument("--seed", type=int, default=defaults.master_seed)
+    _add_run_flags(run, defaults)
 
     compare = sub.add_parser(
         "compare", help="run all four controllers over several seeds"
@@ -86,9 +91,7 @@ def build_parser() -> _Parser:
                          help="comma-separated master seeds")
     compare.add_argument("--workers", type=int, default=1,
                          help="parallel processes for the comparison grid")
-    _add_run_flags(compare)
-
-    sub.add_parser("validate", help="run the built-in invariant checks")
+    _add_run_flags(compare, defaults)
     return parser
 
 
@@ -133,7 +136,9 @@ def write_trace_csv(result: RunResult, path: str | Path) -> None:
 
 
 def read_trace_csv(
-    path: str | Path, window_w: int = 32, window_h: int = 32
+    path: str | Path,
+    window_w: int = ExperimentConfig.window_w,
+    window_h: int = ExperimentConfig.window_h,
 ) -> list[StepRecord]:
     """Parse a trace CSV back into step records (centers to top-left)."""
     records = []
@@ -261,6 +266,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print("visuomotor: error: --seeds needs at least one seed",
               file=sys.stderr)
         return EXIT_USAGE
+    if len(set(seeds)) != len(seeds):
+        print(f"visuomotor: error: --seeds repeats a seed: {args.seeds!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     base = _config_from_args(args, ControllerKind.RM, seeds[0])
     out_dir = Path(args.out if args.out is not None else _default_out_dir())
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,137 +292,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check(name: str, passed: bool, failures: list[str]) -> None:
-    print(f"{'PASS' if passed else 'FAIL'}  {name}")
-    if not passed:
-        failures.append(name)
-
-
-def run_validation() -> bool:
-    """Fast self-contained invariant checks over the numerical core."""
-    rng = np.random.default_rng(20240917)
-    failures: list[str] = []
-
-    # Pseudo-inverse: four Penrose conditions, rank-deficient included.
-    worst = 0.0
-    for i in range(25):
-        rows = int(rng.integers(1, 21))
-        cols = int(rng.integers(1, 31))
-        a = rng.normal(size=(rows, cols))
-        if i % 2 == 1:
-            inner = max(1, min(rows, cols) // 2)
-            a = rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
-        worst = max(worst, _penrose_residual(a))
-    _check("pseudo-inverse satisfies Penrose conditions", worst < 1e-8, failures)
-
-    # Online updates track the batch solution.
-    cfg = elm.ElmConfig(input_dim=6, output_dim=3, hidden_count=12, seed=5)
-    state = elm.init_elm(cfg)
-    pairs = [
-        (rng.uniform(-2, 2, 6), rng.uniform(-1, 1, 3)) for _ in range(120)
-    ]
-    online = state
-    for pair in pairs:
-        online = elm.update_online(online, pair)
-    batch = elm.fit_batch(cfg, state, pairs)
-    gap = np.linalg.norm(online.readout - batch.readout) / max(
-        np.linalg.norm(batch.readout), 1e-30
-    )
-    _check("online updates match the batch readout", gap < 1e-4, failures)
-    _check(
-        "hidden weights untouched by training",
-        online.hidden_weights is state.hidden_weights
-        and online.hidden_bias is state.hidden_bias,
-        failures,
-    )
-
-    # Minimum-norm property on an underdetermined fit.
-    under = [(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 3)) for _ in range(3)]
-    fitted = elm.fit_batch(cfg, state, under)
-    h = elm.ACTIVATIONS[state.activation](
-        state.hidden_weights @ np.column_stack([x for x, _ in under])
-        + state.hidden_bias[:, None]
-    )
-    y = np.column_stack([t for _, t in under])
-    reference = y @ np.linalg.solve(h.T @ h, h.T)
-    _check(
-        "batch readout has minimum norm",
-        np.linalg.norm(fitted.readout) <= np.linalg.norm(reference) + 1e-8,
-        failures,
-    )
-
-    # Camera motion stays in bounds under random commands.
-    image = world.synthetic_image(48, 40, seed=3)
-    cam = CameraState(left=20, top=17, width=5, height=4)
-    ok = True
-    for _ in range(20000):
-        cam = world.apply_motor(image, cam, controllers.choose_random(rng))
-        if not (0 <= cam.left <= image.width - cam.width
-                and 0 <= cam.top <= image.height - cam.height):
-            ok = False
-            break
-    _check("camera never leaves the image", ok, failures)
-
-    # Noise-free observation equals direct indexing.
-    frame = world.observe(image, cam, NoiseModel(0.0), rng)
-    direct = np.array([
-        image.pixels[cam.top + i, cam.left + j]
-        for i in range(cam.height) for j in range(cam.width)
-    ])
-    _check("noise-free observation is exact", np.array_equal(frame, direct),
-           failures)
-
-    # PGM round trip.
-    quantized = world.WorldImage(world.quantize(image.pixels) / 255.0)
-    reloaded = world.load_image(world.to_pgm_p2(quantized))
-    _check("PGM round trip preserves pixels",
-           np.array_equal(reloaded.pixels, quantized.pixels), failures)
-
-    # Policy selection invariant under positive-affine error rescaling.
-    ok = True
-    for _ in range(200):
-        history = ErrorHistory(capacity=64)
-        scaled = ErrorHistory(capacity=64)
-        for t in range(int(rng.integers(1, 40))):
-            cmd = controllers.choose_random(rng)
-            err = float(rng.integers(0, 1024)) / 1024.0
-            history.append(t, cmd, err)
-            scaled.append(t, cmd, 2.0 * err + 0.5)
-        pcfg = ControllerConfig(kind=ControllerKind.MINPE, epsilon=0.0)
-        for chooser in (controllers.choose_minpe, controllers.choose_maxpe):
-            if chooser(history, pcfg, np.random.default_rng(1)) != chooser(
-                scaled, pcfg, np.random.default_rng(1)
-            ):
-                ok = False
-    _check("policies ignore affine error rescaling", ok, failures)
-
-    # Short deterministic run.
-    config = default_config(ControllerKind.MINPE, 7, steps=40, camera=8,
-                            hidden_count=10)
-    one = run_experiment(config)
-    two = run_experiment(config)
-    _check("identical seeds give identical traces", one.trace == two.trace,
-           failures)
-
-    if failures:
-        print(f"{len(failures)} check(s) failed")
-        return False
-    print("all checks passed")
-    return True
-
-
-def _penrose_residual(a: np.ndarray) -> float:
-    ap = elm.pseudo_inverse(a)
-    scale = max(float(np.abs(a).max()), 1e-12)
-    pscale = max(float(np.abs(ap).max()), 1e-12)
-    return max(
-        float(np.abs(a @ ap @ a - a).max()) / scale,
-        float(np.abs(ap @ a @ ap - ap).max()) / pscale,
-        float(np.abs((a @ ap) - (a @ ap).T).max()) / max(pscale * scale, 1e-12),
-        float(np.abs((ap @ a) - (ap @ a).T).max()) / max(pscale * scale, 1e-12),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(argv)
@@ -422,9 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.subcommand == "run":
             return _cmd_run(args)
-        if args.subcommand == "compare":
-            return _cmd_compare(args)
-        return EXIT_OK if run_validation() else EXIT_RUNTIME
+        return _cmd_compare(args)
     except OSError as exc:
         print(f"visuomotor: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

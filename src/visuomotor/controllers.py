@@ -15,7 +15,8 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -105,10 +106,14 @@ def _epsilon_random(
     return None
 
 
-def choose_minpe(
-    history: ErrorHistory, cfg: ControllerConfig, rng: np.random.Generator
+def choose_pe(
+    history: ErrorHistory,
+    cfg: ControllerConfig,
+    rng: np.random.Generator,
+    extreme: Callable[..., HistoryRecord],
 ) -> MotorCommand:
-    """Repeat the command of the smallest error in the lookback window.
+    """Repeat the command of the extreme error in the lookback window:
+    ``extreme`` is ``min`` for MinPE and ``max`` for MaxPE.
 
     Ties go to the most recent record; an empty history falls back to a
     random command.
@@ -116,29 +121,12 @@ def choose_minpe(
     random_pick = _epsilon_random(cfg, rng)
     if random_pick is not None:
         return random_pick
-    best: HistoryRecord | None = None
-    for record in history.recent(cfg.window):
-        if best is None or record.error <= best.error:
-            best = record
-    if best is None:
+    recent = history.recent(cfg.window)
+    if not recent:
         return choose_random(rng)
-    return best.command
-
-
-def choose_maxpe(
-    history: ErrorHistory, cfg: ControllerConfig, rng: np.random.Generator
-) -> MotorCommand:
-    """Repeat the command of the largest error in the lookback window."""
-    random_pick = _epsilon_random(cfg, rng)
-    if random_pick is not None:
-        return random_pick
-    best: HistoryRecord | None = None
-    for record in history.recent(cfg.window):
-        if best is None or record.error >= best.error:
-            best = record
-    if best is None:
-        return choose_random(rng)
-    return best.command
+    # min and max keep the first of equal keys, so scanning newest first
+    # lets the most recent record win a tie.
+    return extreme(reversed(recent), key=attrgetter("error")).command
 
 
 def sliding_mean_error(history: ErrorHistory, at: int, em_window: int) -> float:
@@ -201,13 +189,6 @@ def choose_maxlp(
     return best_command
 
 
-_POLICIES = {
-    ControllerKind.MINPE: choose_minpe,
-    ControllerKind.MAXPE: choose_maxpe,
-    ControllerKind.MAXLP: choose_maxlp,
-}
-
-
 def choose_action(
     kind: ControllerKind,
     history: ErrorHistory,
@@ -218,4 +199,7 @@ def choose_action(
     kind = ControllerKind(kind)
     if kind is ControllerKind.RM:
         return choose_random(rng)
-    return _POLICIES[kind](history, cfg, rng)
+    if kind is ControllerKind.MAXLP:
+        return choose_maxlp(history, cfg, rng)
+    extreme = min if kind is ControllerKind.MINPE else max
+    return choose_pe(history, cfg, rng, extreme)

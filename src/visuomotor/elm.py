@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,12 +69,13 @@ class ElmConfig:
             raise ConfigError("input_dim and output_dim must be positive")
         if self.hidden_count < 1:
             raise ConfigError("hidden_count must be at least 1")
-        if not self.weight_init_low < self.weight_init_high:
-            raise ConfigError("weight_init_low must be below weight_init_high")
-        if self.bias_init_low > self.bias_init_high:
-            raise ConfigError("bias_init_low must not exceed bias_init_high")
-        if not self.online_init_scale > 0:
-            raise ConfigError("online_init_scale must be positive")
+        # Each chain is False when a value in it is NaN or +-inf.
+        if not -np.inf < self.weight_init_low < self.weight_init_high < np.inf:
+            raise ConfigError("weight init bounds must be finite, low below high")
+        if not -np.inf < self.bias_init_low <= self.bias_init_high < np.inf:
+            raise ConfigError("bias init bounds must be finite, low not above high")
+        if not 0 < self.online_init_scale < np.inf:
+            raise ConfigError("online_init_scale must be finite and positive")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(
                 f"unknown activation {self.activation!r}; "
@@ -112,13 +113,6 @@ class ElmState:
     @property
     def hidden_count(self) -> int:
         return self.hidden_weights.shape[0]
-
-
-class TrainingPair(NamedTuple):
-    """One supervised sample: concatenated input and next-frame target."""
-
-    x: np.ndarray
-    y: np.ndarray
 
 
 def init_elm(config: ElmConfig) -> ElmState:
@@ -354,8 +348,8 @@ def save_model(state: ElmState, path: str | Path) -> None:
 
 def load_model(
     path: str | Path,
-    activation: str = "logistic",
-    online_init_scale: float = 1e-8,
+    activation: str = ElmConfig.activation,
+    online_init_scale: float = ElmConfig.online_init_scale,
 ) -> ElmState:
     """Read a model written by ``save_model``.
 
@@ -375,8 +369,8 @@ def load_model(
         raise ParseError("truncated model payload", offset=len(data))
     if activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {activation!r}")
-    if not online_init_scale > 0:
-        raise ConfigError("online_init_scale must be positive")
+    if not 0 < online_init_scale < np.inf:
+        raise ConfigError("online_init_scale must be finite and positive")
     cursor = 28
     weights = np.frombuffer(data, "<f8", hidden * n, cursor).reshape(hidden, n)
     cursor += 8 * hidden * n

@@ -43,13 +43,26 @@ FINAL_ERROR_WINDOW = 100
 ERROR_CURVE_WINDOW = 100
 
 
+def _elm_config(pixels: int, hidden_count: int) -> ElmConfig:
+    # The input is the frame plus the two velocity components.
+    return ElmConfig(
+        input_dim=pixels + 2, output_dim=pixels, hidden_count=hidden_count
+    )
+
+
 def _default_elm_config() -> ElmConfig:
-    return ElmConfig(input_dim=1026, output_dim=1024, hidden_count=30)
+    return _elm_config(
+        ExperimentConfig.window_w * ExperimentConfig.window_h, hidden_count=30
+    )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one seeded run needs, image content excluded."""
+    """Everything one seeded run needs, image content excluded.
+
+    The defaults here are the standard experiment; ``default_config`` and
+    the command-line flags take theirs from this class.
+    """
 
     steps: int = 5000
     elm: ElmConfig = field(default_factory=_default_elm_config)
@@ -57,7 +70,7 @@ class ExperimentConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
     image_source: str = SYNTHETIC_SOURCE
     window_w: int = 32
-    window_h: int = 32
+    window_h: int = window_w  # square by default
     master_seed: int = 0
 
     def __post_init__(self):
@@ -78,26 +91,27 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be non-negative")
 
 
+_DEFAULTS = ExperimentConfig()
+
+
 def default_config(
-    kind: ControllerKind | str = ControllerKind.RM,
-    master_seed: int = 0,
+    kind: ControllerKind | str = _DEFAULTS.controller.kind,
+    master_seed: int = _DEFAULTS.master_seed,
     *,
-    steps: int = 5000,
-    sigma: float = 0.01,
-    image_source: str = SYNTHETIC_SOURCE,
-    epsilon: float = 0.2,
-    hidden_count: int = 30,
-    window: int = 20,
-    em_window: int = 10,
-    camera: int = 32,
+    steps: int = _DEFAULTS.steps,
+    sigma: float = _DEFAULTS.noise.sigma,
+    image_source: str = _DEFAULTS.image_source,
+    epsilon: float = _DEFAULTS.controller.epsilon,
+    hidden_count: int = _DEFAULTS.elm.hidden_count,
+    window: int = _DEFAULTS.controller.window,
+    em_window: int = _DEFAULTS.controller.em_window,
+    camera: int = _DEFAULTS.window_w,
 ) -> ExperimentConfig:
-    """Convenience constructor mirroring the standard experiment setup."""
-    pixels = camera * camera
+    """The standard experiment with a square ``camera`` and the given
+    overrides; every default is ``ExperimentConfig()``'s."""
     return ExperimentConfig(
         steps=steps,
-        elm=ElmConfig(
-            input_dim=pixels + 2, output_dim=pixels, hidden_count=hidden_count
-        ),
+        elm=_elm_config(camera * camera, hidden_count),
         controller=ControllerConfig(
             kind=ControllerKind(kind),
             window=window,
@@ -331,6 +345,8 @@ def run_comparison(
     if not kinds or not seeds:
         raise ValueError("run_comparison needs at least one kind and one seed")
     kinds = [ControllerKind(k) for k in kinds]
+    if len(set(kinds)) != len(kinds) or len(set(seeds)) != len(seeds):
+        raise ValueError("run_comparison needs distinct kinds and distinct seeds")
     cells = [(kind, seed) for kind in kinds for seed in seeds]
     configs = [
         replace(

@@ -109,8 +109,8 @@ class NoiseModel:
     sigma: float = 0.01
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigError("noise sigma must be non-negative")
+        if not 0 <= self.sigma < np.inf:  # False for NaN as well
+            raise ConfigError("noise sigma must be finite and non-negative")
 
 
 def _check_camera(world: WorldImage, cam: CameraState) -> None:

@@ -8,16 +8,16 @@ from visuomotor.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    _config_from_args,
     main,
     parse_args,
     read_trace_csv,
     render_frames,
-    run_validation,
     write_summary,
     write_trace_csv,
 )
 from visuomotor.controllers import ControllerKind
-from visuomotor.harness import run_comparison, run_experiment
+from visuomotor.harness import default_config, run_comparison, run_experiment
 from visuomotor.world import CameraState, MotorCommand, WorldImage, load_image
 
 
@@ -51,6 +51,12 @@ def test_defaults_mirror_standard_experiment():
     assert args.sigma == 0.01
     assert args.camera == 32
     assert args.image == "synthetic"
+
+
+@pytest.mark.parametrize("subcommand", ["run", "compare"])
+def test_flag_defaults_give_default_config(subcommand):
+    args = parse_args([subcommand])
+    assert _config_from_args(args, "rm", 1) == default_config("rm", 1)
 
 
 def test_epsilon_flag_parsed():
@@ -260,12 +266,33 @@ def test_run_malformed_image_is_runtime_error(tmp_path, capsys):
     assert code == EXIT_RUNTIME
 
 
-def test_validation_suite_passes(capsys):
-    assert run_validation() is True
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "FAIL" not in out
+def test_validate_is_not_a_subcommand(capsys):
+    assert main(["validate"]) == EXIT_USAGE
+    assert "invalid choice" in capsys.readouterr().err
 
 
-def test_validate_subcommand_exit_code():
-    assert main(["validate"]) == EXIT_OK
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_run_rejects_bad_sigma(tmp_path, capsys, value):
+    code = main(tiny_args("run", tmp_path, ["--sigma", value]))
+    assert code == EXIT_RUNTIME
+    assert "sigma" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_compare_rejects_repeated_seeds(tmp_path, capsys):
+    code = main(tiny_args("compare", tmp_path, ["--seeds", "3,3"]))
+    assert code == EXIT_USAGE
+    assert "repeats" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# Package surface
+
+
+def test_package_exposes_only_version_and_submodules():
+    import visuomotor
+
+    assert isinstance(visuomotor.__version__, str)
+    public = {name for name in dir(visuomotor) if not name.startswith("_")}
+    assert public <= {"cli", "controllers", "elm", "errors", "harness", "world"}

@@ -17,8 +17,7 @@ from visuomotor.controllers import (
     ErrorHistory,
     choose_action,
     choose_maxlp,
-    choose_maxpe,
-    choose_minpe,
+    choose_pe,
     choose_random,
     sliding_mean_error,
 )
@@ -99,14 +98,14 @@ def test_choose_random_returns_valid_command():
 def test_minpe_picks_smallest_error():
     history = history_of((1, L, 0.5), (2, R, 0.1), (3, U, 0.3))
     cfg = config_for(ControllerKind.MINPE)
-    assert choose_minpe(history, cfg, np.random.default_rng(0)) == R
+    assert choose_pe(history, cfg, np.random.default_rng(0), min) == R
 
 
 def test_minpe_empty_history_falls_back_to_random():
     history = ErrorHistory(capacity=8)
     cfg = config_for(ControllerKind.MINPE)
     seen = {
-        choose_minpe(history, cfg, np.random.default_rng(seed))
+        choose_pe(history, cfg, np.random.default_rng(seed), min)
         for seed in range(50)
     }
     assert seen <= set(COMMANDS)
@@ -116,26 +115,26 @@ def test_minpe_empty_history_falls_back_to_random():
 def test_minpe_tie_goes_to_most_recent():
     history = history_of((1, L, 0.2), (2, R, 0.2))
     cfg = config_for(ControllerKind.MINPE)
-    assert choose_minpe(history, cfg, np.random.default_rng(0)) == R
+    assert choose_pe(history, cfg, np.random.default_rng(0), min) == R
 
 
 def test_minpe_respects_window():
     # The global minimum sits outside the lookback window.
     history = history_of((1, S, 0.01), (2, L, 0.5), (3, R, 0.4))
     cfg = config_for(ControllerKind.MINPE, window=2)
-    assert choose_minpe(history, cfg, np.random.default_rng(0)) == R
+    assert choose_pe(history, cfg, np.random.default_rng(0), min) == R
 
 
 def test_maxpe_picks_largest_error():
     history = history_of((1, L, 0.5), (2, R, 0.1), (3, U, 0.3))
     cfg = config_for(ControllerKind.MAXPE)
-    assert choose_maxpe(history, cfg, np.random.default_rng(0)) == L
+    assert choose_pe(history, cfg, np.random.default_rng(0), max) == L
 
 
 def test_maxpe_all_equal_gives_most_recent():
     history = history_of((1, L, 0.25), (2, R, 0.25), (3, D, 0.25))
     cfg = config_for(ControllerKind.MAXPE)
-    assert choose_maxpe(history, cfg, np.random.default_rng(0)) == D
+    assert choose_pe(history, cfg, np.random.default_rng(0), max) == D
 
 
 def test_maxpe_epsilon_one_is_uniform():
@@ -145,7 +144,7 @@ def test_maxpe_epsilon_one_is_uniform():
     counts = {cmd: 0 for cmd in COMMANDS}
     draws = 100_000
     for _ in range(draws):
-        counts[choose_maxpe(history, cfg, rng)] += 1
+        counts[choose_pe(history, cfg, rng, max)] += 1
     for cmd in COMMANDS:
         assert 0.19 <= counts[cmd] / draws <= 0.21
 
@@ -165,8 +164,8 @@ def test_minpe_maxpe_agree_with_scan_oracle():
             )
         expected_min = scan_oracle(history, cfg.window, "min")
         expected_max = scan_oracle(history, cfg.window, "max")
-        got_min = choose_minpe(history, cfg, np.random.default_rng(0))
-        got_max = choose_maxpe(history, cfg, np.random.default_rng(0))
+        got_min = choose_pe(history, cfg, np.random.default_rng(0), min)
+        got_max = choose_pe(history, cfg, np.random.default_rng(0), max)
         if expected_min is None:
             assert got_min in COMMANDS and got_max in COMMANDS
         else:
@@ -359,6 +358,29 @@ def test_dispatch_maxlp_insufficient_history_is_valid():
     assert got in COMMANDS
 
 
+def test_pe_dispatch_draws_match_written_out_policy():
+    # One epsilon draw per decision, then a random command only when the
+    # draw hits or the history is empty; otherwise the scan oracle's pick.
+    rng = np.random.default_rng(71)
+    for kind, mode in ((ControllerKind.MINPE, "min"), (ControllerKind.MAXPE, "max")):
+        cfg = config_for(kind, epsilon=0.3, window=6)
+        for _ in range(500):
+            history = ErrorHistory(capacity=16)
+            for t in range(int(rng.integers(0, 10))):
+                history.append(t, COMMANDS[int(rng.integers(5))],
+                               float(rng.integers(0, 8)) / 8.0)
+            seed = int(rng.integers(2**32))
+            got_rng = np.random.default_rng(seed)
+            got = choose_action(kind, history, cfg, got_rng)
+            ref_rng = np.random.default_rng(seed)
+            if ref_rng.random() < cfg.epsilon or len(history) == 0:
+                expected = COMMANDS[int(ref_rng.integers(5))]
+            else:
+                expected = scan_oracle(history, cfg.window, mode)
+            assert got == expected
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_dispatch_accepts_string_kind():
     cfg = config_for(ControllerKind.MINPE)
     history = history_of((1, U, 0.1))
@@ -378,13 +400,12 @@ def test_every_policy_total_over_random_histories():
 
 def test_epsilon_zero_is_deterministic_function_of_history():
     history = history_of((1, L, 0.3), (2, R, 0.6), (3, U, 0.2))
-    for kind, chooser in [
-        (ControllerKind.MINPE, choose_minpe),
-        (ControllerKind.MAXPE, choose_maxpe),
-        (ControllerKind.MAXLP, choose_maxlp),
-    ]:
+    for kind in (ControllerKind.MINPE, ControllerKind.MAXPE, ControllerKind.MAXLP):
         cfg = config_for(kind, em_window=2)
-        picks = {chooser(history, cfg, np.random.default_rng(seed)) for seed in range(25)}
+        picks = {
+            choose_action(kind, history, cfg, np.random.default_rng(seed))
+            for seed in range(25)
+        }
         assert len(picks) == 1
 
 
@@ -399,14 +420,11 @@ def test_affine_error_rescaling_preserves_choices():
             err = float(rng.integers(0, 1024)) / 1024.0
             plain.append(t, cmd, err)
             scaled.append(t, cmd, 2.0 * err + 0.5)
-        for kind, chooser in [
-            (ControllerKind.MINPE, choose_minpe),
-            (ControllerKind.MAXPE, choose_maxpe),
-        ]:
+        for kind in (ControllerKind.MINPE, ControllerKind.MAXPE):
             cfg = config_for(kind)
-            assert chooser(plain, cfg, np.random.default_rng(1)) == chooser(
-                scaled, cfg, np.random.default_rng(1)
-            )
+            assert choose_action(
+                kind, plain, cfg, np.random.default_rng(1)
+            ) == choose_action(kind, scaled, cfg, np.random.default_rng(1))
 
 
 def test_maxlp_scaling_preserves_choices():

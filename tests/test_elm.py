@@ -702,3 +702,6 @@ def test_model_bad_inputs(tmp_path):
     short.write_bytes(truncated)
     with pytest.raises(ParseError):
         load_model(short)
+    for scale in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            load_model(good, online_init_scale=scale)

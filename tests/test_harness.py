@@ -4,6 +4,7 @@ Full-scale behaviour is covered by the acceptance suite; these tests
 use small camera windows so each run takes milliseconds.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -289,6 +290,38 @@ def test_config_validation():
         )
 
 
+def test_default_config_is_the_config_default():
+    assert default_config() == ExperimentConfig()
+
+
+def _float_config_fields():
+    from visuomotor.elm import ElmConfig
+
+    shapes = {ElmConfig: dict(input_dim=3, output_dim=1, hidden_count=2)}
+    for cls in (NoiseModel, ControllerConfig, ElmConfig):
+        for f in dataclasses.fields(cls):
+            if f.type == "float":
+                yield pytest.param(cls, shapes.get(cls, {}), f.name,
+                                   id=f"{cls.__name__}.{f.name}")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cls, shape, name", list(_float_config_fields()))
+def test_float_config_fields_reject_non_finite(cls, shape, name, value):
+    with pytest.raises(ConfigError):
+        cls(**shape, **{name: value})
+
+
+def test_every_float_config_field_is_covered():
+    names = {p.id for p in _float_config_fields()}
+    assert names == {
+        "NoiseModel.sigma", "ControllerConfig.epsilon",
+        "ElmConfig.weight_init_low", "ElmConfig.weight_init_high",
+        "ElmConfig.bias_init_low", "ElmConfig.bias_init_high",
+        "ElmConfig.online_init_scale",
+    }
+
+
 def test_window_must_fit_image(tmp_path):
     from visuomotor.world import synthetic_image
 
@@ -423,3 +456,11 @@ def test_comparison_requires_nonempty_grid():
         run_comparison(base, [], [1])
     with pytest.raises(ValueError):
         run_comparison(base, [ControllerKind.RM], [])
+
+
+def test_comparison_rejects_repeated_kinds_and_seeds():
+    base = tiny_config(steps=10)
+    with pytest.raises(ValueError):
+        run_comparison(base, [ControllerKind.RM], [3, 3])
+    with pytest.raises(ValueError):
+        run_comparison(base, [ControllerKind.RM, "rm"], [1])
