@@ -14,7 +14,7 @@ import numpy as np
 
 from . import elm, world
 from .controllers import ControllerKind
-from .errors import VisuomotorError
+from .errors import ConfigError, VisuomotorError
 from .harness import (
     ComparisonResult,
     ExperimentConfig,
@@ -33,8 +33,7 @@ EXIT_RUNTIME = 2
 EXIT_IO = 3
 
 OUT_DIR_ENV = "VISUOMOTOR_OUT"
-ALL_KINDS = [ControllerKind.RM, ControllerKind.MINPE, ControllerKind.MAXPE,
-             ControllerKind.MAXLP]
+ALL_KINDS = list(ControllerKind)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,10 +42,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _default_out_dir() -> str:
-    return os.environ.get(OUT_DIR_ENV, "out")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser,
@@ -68,7 +63,7 @@ def _add_run_flags(parser: argparse.ArgumentParser,
                         help="sliding-mean width for learning progress")
     parser.add_argument("--camera", type=int, default=defaults.window_w,
                         help="camera window side, in pixels")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out", default=os.environ.get(OUT_DIR_ENV, "out"),
                         help=f"output directory (default: ${OUT_DIR_ENV} or ./out)")
 
 
@@ -220,7 +215,7 @@ def render_frames(
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args, args.controller, args.seed)
-    out_dir = Path(args.out if args.out is not None else _default_out_dir())
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     image = load_world(config)
     result = run_experiment(config, world=image)
@@ -259,19 +254,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
-        print(f"visuomotor: error: bad --seeds value {args.seeds!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"bad --seeds value {args.seeds!r}") from None
     if not seeds:
-        print("visuomotor: error: --seeds needs at least one seed",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--seeds needs at least one seed")
     if len(set(seeds)) != len(seeds):
-        print(f"visuomotor: error: --seeds repeats a seed: {args.seeds!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--seeds repeats a seed: {args.seeds!r}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     base = _config_from_args(args, ControllerKind.RM, seeds[0])
-    out_dir = Path(args.out if args.out is not None else _default_out_dir())
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     comparison = run_comparison(base, ALL_KINDS, seeds, workers=args.workers)
     for (kind, seed), result in comparison.results.items():
@@ -304,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"visuomotor: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ConfigError as exc:  # bad flag values, or a scene they cannot fit
+        print(f"visuomotor: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except VisuomotorError as exc:
         print(f"visuomotor: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

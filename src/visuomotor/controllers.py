@@ -62,12 +62,6 @@ class ErrorHistory:
     def __iter__(self) -> Iterator[HistoryRecord]:
         return iter(self._records)
 
-    def recent(self, count: int) -> list[HistoryRecord]:
-        """The last min(count, len) records, oldest first."""
-        if count >= len(self._records):
-            return list(self._records)
-        return [self._records[i] for i in range(len(self._records) - count, len(self._records))]
-
     def errors_between(self, start: int, end: int) -> list[float]:
         """Errors of records with timestep in the half-open range (start, end]."""
         return [r.error for r in self._records if start < r.t <= end]
@@ -82,6 +76,10 @@ class ControllerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in list(ControllerKind):
+            raise ConfigError(f"unknown controller kind {self.kind!r}; choose "
+                              f"from {[k.value for k in ControllerKind]}")
+        object.__setattr__(self, "kind", ControllerKind(self.kind))
         if self.window < 1:
             raise ConfigError("window must be at least 1")
         if self.em_window < 1:
@@ -121,7 +119,7 @@ def choose_pe(
     random_pick = _epsilon_random(cfg, rng)
     if random_pick is not None:
         return random_pick
-    recent = history.recent(cfg.window)
+    recent = list(history)[-cfg.window:]
     if not recent:
         return choose_random(rng)
     # min and max keep the first of equal keys, so scanning newest first

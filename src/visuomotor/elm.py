@@ -15,10 +15,15 @@ The closed loop calls the two pieces of ``predict`` and ``update_online``
 directly, so that each step evaluates the hidden layer and the forecast
 once: ``forward`` returns both, and ``rls_update`` folds the sample into
 the readout and the accumulator in place.
+
+``save_model`` writes the whole learner state, accumulator and activation
+included, as an ``ELM2`` file; training resumes from ``load_model(path)``
+exactly as from the saved state.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,7 +33,10 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, ParseError
 
-MODEL_MAGIC = b"ELM1"
+MODEL_MAGIC = b"ELM2"
+_NAME_WIDTH = 16
+# Magic, three dimensions, samples seen, NUL-padded activation name.
+_HEADER = struct.Struct(f"<4s4Q{_NAME_WIDTH}s")
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
@@ -144,22 +152,15 @@ def init_elm(config: ElmConfig) -> ElmState:
     )
 
 
-def hidden_activations(state: ElmState, x: np.ndarray) -> np.ndarray:
-    """Hidden-layer response g(Wx + b) for a single input vector."""
+def forward(state: ElmState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden response h = g(Wx + b) and forecast ``readout @ h`` for one
+    input vector (frame and velocity concatenated)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (state.input_dim,):
         raise DimensionError(
             f"input has shape {x.shape}, expected ({state.input_dim},)"
         )
-    return ACTIVATIONS[state.activation](
-        state.hidden_weights @ x + state.hidden_bias
-    )
-
-
-def forward(state: ElmState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden response h and forecast ``readout @ h`` for one input vector
-    (frame and velocity concatenated)."""
-    h = hidden_activations(state, x)
+    h = ACTIVATIONS[state.activation](state.hidden_weights @ x + state.hidden_bias)
     return h, state.readout @ h
 
 
@@ -217,24 +218,6 @@ def pseudo_inverse(matrix: np.ndarray, tolerance: float = 0.0) -> np.ndarray:
     return (vt.T * inv_s) @ u.T
 
 
-def _stack_pairs(
-    state: ElmState, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.column_stack([np.asarray(x, dtype=float) for x, _ in pairs])
-    ys = np.column_stack([np.asarray(y, dtype=float) for _, y in pairs])
-    if xs.shape[0] != state.input_dim:
-        raise DimensionError(
-            f"training inputs have length {xs.shape[0]}, "
-            f"expected {state.input_dim}"
-        )
-    if ys.shape[0] != state.output_dim:
-        raise DimensionError(
-            f"training targets have length {ys.shape[0]}, "
-            f"expected {state.output_dim}"
-        )
-    return xs, ys
-
-
 def fit_batch(
     config: ElmConfig,
     state: ElmState,
@@ -255,7 +238,18 @@ def fit_batch(
         state.hidden_count,
     ):
         raise ConfigError("config dimensions do not match the given state")
-    xs, ys = _stack_pairs(state, pairs)
+    xs = np.column_stack([np.asarray(x, dtype=float) for x, _ in pairs])
+    ys = np.column_stack([np.asarray(y, dtype=float) for _, y in pairs])
+    if xs.shape[0] != state.input_dim:
+        raise DimensionError(
+            f"training inputs have length {xs.shape[0]}, "
+            f"expected {state.input_dim}"
+        )
+    if ys.shape[0] != state.output_dim:
+        raise DimensionError(
+            f"training targets have length {ys.shape[0]}, "
+            f"expected {state.output_dim}"
+        )
     h = ACTIVATIONS[state.activation](
         state.hidden_weights @ xs + state.hidden_bias[:, None]
     )
@@ -328,60 +322,59 @@ def prediction_error(predicted: np.ndarray, actual: np.ndarray) -> float:
 
 
 def save_model(state: ElmState, path: str | Path) -> None:
-    """Write the predictor to a flat binary file.
+    """Write the whole learner state to a flat binary file.
 
-    Layout: magic ``ELM1``, then input/output/hidden dimensions as
-    little-endian uint64, then hidden weights, bias and readout as
-    little-endian float64 in row-major order. The online accumulator is
-    not serialised.
+    Layout: the magic ``ELM2``; input, output and hidden dimensions and
+    ``samples_seen`` as little-endian uint64; the activation name in
+    ASCII, NUL-padded to 16 bytes. Then hidden weights, bias, readout and
+    the inverse-Gram accumulator P as little-endian float64, row-major.
     """
-    header = MODEL_MAGIC + struct.pack(
-        "<QQQ", state.input_dim, state.output_dim, state.hidden_count
+    header = _HEADER.pack(
+        MODEL_MAGIC, state.input_dim, state.output_dim, state.hidden_count,
+        state.samples_seen, state.activation.encode("ascii"),
     )
-    body = (
-        np.ascontiguousarray(state.hidden_weights, dtype="<f8").tobytes()
-        + np.ascontiguousarray(state.hidden_bias, dtype="<f8").tobytes()
-        + np.ascontiguousarray(state.readout, dtype="<f8").tobytes()
-    )
+    arrays = (state.hidden_weights, state.hidden_bias, state.readout, state.inv_gram)
+    body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     Path(path).write_bytes(header + body)
 
 
-def load_model(
-    path: str | Path,
-    activation: str = ElmConfig.activation,
-    online_init_scale: float = ElmConfig.online_init_scale,
-) -> ElmState:
-    """Read a model written by ``save_model``.
+def load_model(path: str | Path) -> ElmState:
+    """Read a model written by ``save_model``; the file holds every field.
 
-    The online accumulator restarts at ``I / online_init_scale`` with a
-    zero sample count; only the predictor itself is persisted.
+    Malformed bytes raise ``ParseError`` at the offending offset: a bad
+    magic (an ``ELM1`` file among them) at 0, an unknown activation name
+    at its field.
     """
     data = Path(path).read_bytes()
     if data[:4] != MODEL_MAGIC:
         raise ParseError("bad model magic", offset=0)
-    if len(data) < 28:
+    if len(data) < _HEADER.size:
         raise ParseError("truncated model header", offset=len(data))
-    n, p, hidden = struct.unpack("<QQQ", data[4:28])
+    _, n, p, hidden, samples_seen, name = _HEADER.unpack_from(data)
     if n < 1 or p < 1 or hidden < 1:
         raise ParseError("model dimensions must be positive", offset=4)
-    expected = 28 + 8 * (hidden * n + hidden + p * hidden)
-    if len(data) < expected:
-        raise ParseError("truncated model payload", offset=len(data))
+    activation = name.rstrip(b"\0").decode("ascii", "replace")
     if activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation!r}")
-    if not 0 < online_init_scale < np.inf:
-        raise ConfigError("online_init_scale must be finite and positive")
-    cursor = 28
-    weights = np.frombuffer(data, "<f8", hidden * n, cursor).reshape(hidden, n)
-    cursor += 8 * hidden * n
-    bias = np.frombuffer(data, "<f8", hidden, cursor)
-    cursor += 8 * hidden
-    readout = np.frombuffer(data, "<f8", p * hidden, cursor).reshape(p, hidden)
+        raise ParseError(f"unknown activation {activation!r}",
+                         offset=_HEADER.size - _NAME_WIDTH)
+    # Hidden weights, bias, readout and P, in file order.
+    shapes = [(hidden, n), (hidden,), (p, hidden), (hidden, hidden)]
+    counts = [math.prod(shape) for shape in shapes]
+    if len(data) < _HEADER.size + 8 * sum(counts):
+        raise ParseError("truncated model payload", offset=len(data))
+    flat = np.frombuffer(data, "<f8", sum(counts), _HEADER.size)
+    # Each array gets its own aligned copy, as a freshly drawn state has.
+    weights, bias, readout, inv_gram = (
+        part.reshape(shape).copy()
+        for part, shape in zip(np.split(flat, np.cumsum(counts)[:-1]), shapes)
+    )
+    weights.setflags(write=False)
+    bias.setflags(write=False)
     return ElmState(
         hidden_weights=weights,
         hidden_bias=bias,
-        readout=readout.copy(),
-        inv_gram=np.eye(hidden) / online_init_scale,
-        samples_seen=0,
+        readout=readout,
+        inv_gram=inv_gram,
+        samples_seen=samples_seen,
         activation=activation,
     )

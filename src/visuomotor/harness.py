@@ -109,11 +109,14 @@ def default_config(
 ) -> ExperimentConfig:
     """The standard experiment with a square ``camera`` and the given
     overrides; every default is ``ExperimentConfig()``'s."""
+    if camera < 1:
+        # Checked before the ELM shape, which would blame the pixel count.
+        raise ConfigError("camera window must have positive size")
     return ExperimentConfig(
         steps=steps,
         elm=_elm_config(camera * camera, hidden_count),
         controller=ControllerConfig(
-            kind=ControllerKind(kind),
+            kind=kind,
             window=window,
             epsilon=epsilon,
             em_window=em_window,
@@ -189,10 +192,7 @@ def initial_camera(world: WorldImage, config: ExperimentConfig) -> CameraState:
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    *,
-    world: WorldImage | None = None,
-    force_command: MotorCommand | None = None,
+    config: ExperimentConfig, *, world: WorldImage | None = None
 ) -> RunResult:
     """Execute one seeded run and return its trace, metrics and model.
 
@@ -202,8 +202,7 @@ def run_experiment(
     the transition. The hidden response and the forecast are computed
     once and serve both the score and the update, which changes the
     model in place. ``world`` is the scene ``load_world(config)`` returns,
-    for callers that have already loaded it. ``force_command`` bypasses
-    the controller (testing hook for pinned-action runs).
+    for callers that have already loaded it.
 
     A non-finite prediction error or a numerical failure inside the
     online update aborts the run before the step is trained on or
@@ -211,8 +210,6 @@ def run_experiment(
     raising.
     """
     elm_seed, noise_seed, controller_seed, _ = _derived_seeds(config.master_seed)
-    elm_config = replace(config.elm, seed=elm_seed)
-    controller_config = replace(config.controller, seed=controller_seed)
     noise_rng = np.random.default_rng(noise_seed)
     controller_rng = np.random.default_rng(controller_seed)
 
@@ -223,40 +220,27 @@ def run_experiment(
             f"{world.width}x{world.height} image is smaller than the camera window"
         )
     cam = initial_camera(world, config)
-    state = init_elm(elm_config)
-    history = ErrorHistory(
-        capacity=controller_config.window + controller_config.em_window
-    )
+    state = init_elm(replace(config.elm, seed=elm_seed))
+    controller = config.controller
+    history = ErrorHistory(capacity=controller.window + controller.em_window)
     trace: list[StepRecord] = []
-    kind = controller_config.kind
-
-    def aborted(failure: str) -> RunResult:
-        return RunResult(
-            config=config,
-            trace=trace,
-            metrics=compute_metrics(trace) if trace else None,
-            elm_state=state,
-            valid=False,
-            failure=failure,
-        )
-
+    failure = None
     for t in range(config.steps):
         frame = observe(world, cam, config.noise, noise_rng)
-        if force_command is not None:
-            command = force_command
-        else:
-            command = choose_action(kind, history, controller_config, controller_rng)
+        command = choose_action(controller.kind, history, controller, controller_rng)
         velocity = command_to_velocity(command)
         h, forecast = forward(state, np.concatenate([frame, velocity]))
         cam = apply_motor(world, cam, command)
         next_frame = observe(world, cam, config.noise, noise_rng)
         error = prediction_error(forecast, next_frame)
         if not math.isfinite(error):
-            return aborted(f"prediction error is {error!r} at step {t}")
+            failure = f"prediction error is {error!r} at step {t}"
+            break
         try:
             rls_update(state, h, forecast, next_frame)
         except NumericError as exc:
-            return aborted(str(exc))
+            failure = str(exc)
+            break
         history.append(t, command, error)
         trace.append(
             StepRecord(t=t, cam_x=cam.left, cam_y=cam.top, command=command, error=error)
@@ -264,8 +248,10 @@ def run_experiment(
     return RunResult(
         config=config,
         trace=trace,
-        metrics=compute_metrics(trace),
+        metrics=compute_metrics(trace) if trace else None,
         elm_state=state,
+        valid=failure is None,
+        failure=failure,
     )
 
 
@@ -339,11 +325,14 @@ def run_comparison(
     """Run every (controller, seed) cell and aggregate the metrics.
 
     Cells are independent; with ``workers > 1`` they execute in separate
-    processes. Aggregation order is fixed by (kind, seed) so the result
-    does not depend on completion order.
+    processes; fewer than one worker is a ``ValueError``. Aggregation
+    order is fixed by (kind, seed) so the result does not depend on
+    completion order.
     """
     if not kinds or not seeds:
         raise ValueError("run_comparison needs at least one kind and one seed")
+    if workers < 1:
+        raise ValueError(f"run_comparison needs at least one worker, got {workers}")
     kinds = [ControllerKind(k) for k in kinds]
     if len(set(kinds)) != len(kinds) or len(set(seeds)) != len(seeds):
         raise ValueError("run_comparison needs distinct kinds and distinct seeds")
@@ -363,34 +352,26 @@ def run_comparison(
         outcomes = [_run_cell(config) for config in configs]
     results = dict(zip(cells, outcomes))
 
+    # Only valid cells make the medians and the ranks; failed ones rank last.
+    counted = {cell: r.metrics for cell, r in results.items() if r.valid}
     summary: dict[ControllerKind, KindSummary] = {}
     for kind in kinds:
-        rows = [
-            results[(kind, seed)].metrics
-            for seed in seeds
-            if results[(kind, seed)].valid and results[(kind, seed)].metrics
-        ]
-        if not rows:
-            continue
-        summary[kind] = KindSummary(
-            kind=kind,
-            median_final_error=float(np.median([m.final_error for m in rows])),
-            median_unique_positions=float(
-                np.median([m.unique_positions for m in rows])
-            ),
-            median_bbox_area=float(np.median([m.bbox_area for m in rows])),
-            median_stay_fraction=float(np.median([m.stay_fraction for m in rows])),
-        )
-
-    rankings: dict[int, list[ControllerKind]] = {}
-    for seed in seeds:
-        def sort_key(kind: ControllerKind) -> float:
-            result = results[(kind, seed)]
-            if result.valid and result.metrics is not None:
-                return result.metrics.final_error
-            return float("inf")
-
-        rankings[seed] = sorted(kinds, key=sort_key)
+        rows = [counted[(kind, seed)] for seed in seeds if (kind, seed) in counted]
+        if rows:
+            summary[kind] = KindSummary(
+                kind=kind,
+                median_final_error=float(np.median([m.final_error for m in rows])),
+                median_unique_positions=float(
+                    np.median([m.unique_positions for m in rows])
+                ),
+                median_bbox_area=float(np.median([m.bbox_area for m in rows])),
+                median_stay_fraction=float(np.median([m.stay_fraction for m in rows])),
+            )
+    final_errors = {cell: m.final_error for cell, m in counted.items()}
+    rankings = {
+        seed: sorted(kinds, key=lambda kind: final_errors.get((kind, seed), math.inf))
+        for seed in seeds
+    }
     return ComparisonResult(
         kinds=kinds, seeds=list(seeds), results=results, summary=summary,
         rankings=rankings,

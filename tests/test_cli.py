@@ -274,9 +274,53 @@ def test_validate_is_not_a_subcommand(capsys):
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_run_rejects_bad_sigma(tmp_path, capsys, value):
     code = main(tiny_args("run", tmp_path, ["--sigma", value]))
-    assert code == EXIT_RUNTIME
+    assert code == EXIT_USAGE
     assert "sigma" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["run", "compare"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--steps", "0", "steps"),
+        ("--hidden", "0", "hidden_count"),
+        ("--camera", "0", "camera window"),
+        ("--epsilon", "2", "epsilon"),
+        ("--sigma", "nan", "sigma"),
+        ("--window", "0", "window"),
+        ("--em-window", "0", "em_window"),
+    ],
+)
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, subcommand, flag, value,
+                                       message):
+    extra = [flag, value] + (["--seeds", "1"] if subcommand == "compare" else [])
+    out = tmp_path / "out"
+    assert main(tiny_args(subcommand, out, extra)) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_scene_smaller_than_camera_is_usage_error(tmp_path, capsys):
+    small = tmp_path / "small.pgm"
+    small.write_bytes(b"P2 3 3 255 " + b"0 " * 9)
+    code = main(tiny_args("run", tmp_path / "out", ["--image", str(small)]))
+    assert code == EXIT_USAGE
+    assert "smaller than the camera window" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_compare_rejects_fewer_than_one_worker(tmp_path, capsys, monkeypatch,
+                                               workers):
+    ran = []
+    monkeypatch.setattr(cli, "run_comparison", lambda *a, **k: ran.append(a))
+    out = tmp_path / "out"
+    code = main(tiny_args("compare", out, ["--seeds", "1", "--workers", workers]))
+    assert code == EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
 
 
 def test_compare_rejects_repeated_seeds(tmp_path, capsys):

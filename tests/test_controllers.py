@@ -283,7 +283,7 @@ def reference_maxlp(history, cfg, rng):
     if rng.random() < cfg.epsilon:
         return choose_random(rng)
     best, best_progress = None, -np.inf
-    for record in history.recent(cfg.window):
+    for record in list(history)[-cfg.window:]:
         try:
             before = sliding_mean_error(history, record.t - 1, cfg.em_window)
             now = sliding_mean_error(history, record.t, cfg.em_window)
@@ -472,9 +472,10 @@ def test_history_rejects_bad_errors():
 
 
 def test_history_recent_returns_tail():
+    # The policies read their lookback window as this slice of the ring.
     history = history_of((1, L, 0.1), (2, R, 0.2), (3, U, 0.3))
-    assert [r.t for r in history.recent(2)] == [2, 3]
-    assert [r.t for r in history.recent(10)] == [1, 2, 3]
+    assert [r.t for r in list(history)[-2:]] == [2, 3]
+    assert [r.t for r in list(history)[-10:]] == [1, 2, 3]
 
 
 def test_config_validation():
@@ -486,3 +487,9 @@ def test_config_validation():
         ControllerConfig(epsilon=1.5)
     with pytest.raises(ConfigError):
         ErrorHistory(capacity=0)
+
+
+def test_config_coerces_kind_and_rejects_unknown():
+    assert ControllerConfig(kind="minpe").kind is ControllerKind.MINPE
+    with pytest.raises(ConfigError, match="xyz"):
+        ControllerConfig(kind="xyz")

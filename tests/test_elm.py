@@ -20,7 +20,6 @@ from visuomotor.elm import (
     ElmState,
     fit_batch,
     forward,
-    hidden_activations,
     init_elm,
     load_model,
     predict,
@@ -190,13 +189,13 @@ def test_invalid_config_rejected(overrides):
 
 def test_hidden_zero_weights_give_half():
     state = manual_state(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)))
-    h = hidden_activations(state, np.array([0.3, -1.0, 2.0]))
+    h = forward(state, np.array([0.3, -1.0, 2.0]))[0]
     assert np.all(h == 0.5)
 
 
 def test_hidden_cancelling_bias_gives_half():
     state = manual_state([[2.0]], [-2.0], [[0.0]])
-    assert hidden_activations(state, np.array([1.0])) == pytest.approx([0.5])
+    assert forward(state, np.array([1.0]))[0] == pytest.approx([0.5])
 
 
 def test_hidden_matches_scalar_oracle():
@@ -205,25 +204,25 @@ def test_hidden_matches_scalar_oracle():
     for _ in range(10):
         x = rng.uniform(-2, 2, 20)
         expected = scalar_hidden(state.hidden_weights, state.hidden_bias, x)
-        assert np.allclose(hidden_activations(state, x), expected, atol=1e-12)
+        assert np.allclose(forward(state, x)[0], expected, atol=1e-12)
 
 
 def test_hidden_tanh_variant():
     state = manual_state(np.eye(2), np.zeros(2), np.zeros((1, 2)), activation="tanh")
-    h = hidden_activations(state, np.array([0.0, 100.0]))
+    h = forward(state, np.array([0.0, 100.0]))[0]
     assert h == pytest.approx([0.0, 1.0])
 
 
 def test_hidden_length_mismatch():
     state = init_elm(small_config())
     with pytest.raises(DimensionError):
-        hidden_activations(state, np.zeros(4))
+        forward(state, np.zeros(4))
 
 
 def test_hidden_bounded_for_logistic():
     state = init_elm(small_config(input_dim=8, hidden_count=40))
     rng = np.random.default_rng(9)
-    h = hidden_activations(state, rng.uniform(0, 1, 8))
+    h = forward(state, rng.uniform(0, 1, 8))[0]
     assert np.all((h > 0.0) & (h < 1.0))
 
 
@@ -353,7 +352,7 @@ def test_fit_batch_recovers_known_readout():
     rng = np.random.default_rng(17)
     target_readout = rng.uniform(-1, 1, (3, 5))
     xs = [rng.uniform(-1, 1, 4) for _ in range(50)]
-    pairs = [(x, target_readout @ hidden_activations(state, x)) for x in xs]
+    pairs = [(x, target_readout @ forward(state, x)[0]) for x in xs]
     fitted = fit_batch(config, state, pairs)
     assert np.max(np.abs(fitted.readout - target_readout)) < 1e-8
 
@@ -439,7 +438,7 @@ def test_online_first_update_nearly_interpolates():
     x = rng.uniform(0, 1, 6)
     y = rng.uniform(0.2, 1, 3)
     updated = update_online(state, (x, y))
-    got = updated.readout @ hidden_activations(updated, x)
+    got = updated.readout @ forward(updated, x)[0]
     assert np.linalg.norm(got - y) / np.linalg.norm(y) < 1e-4
     assert updated.samples_seen == 1
 
@@ -468,7 +467,7 @@ def test_online_zero_innovation_keeps_readout():
     for pair in make_pairs(20, rng, input_dim=6, output_dim=3):
         state = update_online(state, pair)
     x = rng.uniform(-1, 1, 6)
-    y = state.readout @ hidden_activations(state, x)
+    y = state.readout @ forward(state, x)[0]
     updated = update_online(state, (x, y))
     assert np.max(np.abs(updated.readout - state.readout)) < 1e-12
 
@@ -666,7 +665,6 @@ def test_model_round_trip(tmp_path):
     assert np.array_equal(loaded.hidden_weights, state.hidden_weights)
     assert np.array_equal(loaded.hidden_bias, state.hidden_bias)
     assert np.array_equal(loaded.readout, state.readout)
-    assert loaded.samples_seen == 0
     # Loaded models predict identically.
     frame = rng.uniform(0, 1, 3)
     velocity = rng.uniform(-1, 1, 2)
@@ -675,18 +673,48 @@ def test_model_round_trip(tmp_path):
     )
 
 
+def test_model_resumes_training_bit_identically(tmp_path):
+    config = ElmConfig(input_dim=6, output_dim=3, hidden_count=8, seed=5)
+    state = init_elm(config)
+    rng = np.random.default_rng(61)
+    for pair in make_pairs(7, rng):
+        state = update_online(state, pair)
+    path = tmp_path / "model.elm"
+    save_model(state, path)
+    loaded = load_model(path)
+    assert loaded.samples_seen == 7
+    assert loaded.inv_gram.tobytes() == state.inv_gram.tobytes()
+    assert not loaded.hidden_weights.flags.writeable
+    assert not loaded.hidden_bias.flags.writeable
+    pair = make_pairs(1, rng)[0]
+    resumed, original = update_online(loaded, pair), update_online(state, pair)
+    assert resumed.readout.tobytes() == original.readout.tobytes()
+    assert resumed.inv_gram.tobytes() == original.inv_gram.tobytes()
+    assert resumed.samples_seen == original.samples_seen == 8
+
+
+def test_model_keeps_tanh_activation(tmp_path):
+    state = init_elm(small_config(activation="tanh"))
+    path = tmp_path / "tanh.elm"
+    save_model(state, path)
+    assert load_model(path).activation == "tanh"
+
+
 def test_model_file_layout(tmp_path):
     state = manual_state(
         [[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0], [[7.0, 8.0]]
     )
+    state.samples_seen = 9
     path = tmp_path / "layout.elm"
     save_model(state, path)
     raw = path.read_bytes()
-    assert raw[:4] == b"ELM1"
-    n, p, hidden = struct.unpack("<QQQ", raw[4:28])
-    assert (n, p, hidden) == (2, 1, 2)
-    floats = struct.unpack("<8d", raw[28:])
-    assert floats == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+    assert raw[:4] == b"ELM2"
+    n, p, hidden, samples_seen = struct.unpack("<4Q", raw[4:36])
+    assert (n, p, hidden, samples_seen) == (2, 1, 2, 9)
+    assert raw[36:52] == b"logistic" + b"\0" * 8
+    floats = struct.unpack("<12d", raw[52:])
+    # Weights, bias, readout, then P (the identity in manual_state).
+    assert floats == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1.0, 0.0, 0.0, 1.0)
 
 
 def test_model_bad_inputs(tmp_path):
@@ -702,6 +730,25 @@ def test_model_bad_inputs(tmp_path):
     short.write_bytes(truncated)
     with pytest.raises(ParseError):
         load_model(short)
-    for scale in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError):
-            load_model(good, online_init_scale=scale)
+
+
+def test_model_elm1_file_is_rejected_at_offset_0(tmp_path):
+    # The old layout: magic, three dimensions, weights, bias and readout.
+    path = tmp_path / "old.elm"
+    path.write_bytes(
+        b"ELM1" + struct.pack("<QQQ", 2, 1, 2) + struct.pack("<8d", *range(8))
+    )
+    with pytest.raises(ParseError) as info:
+        load_model(path)
+    assert info.value.offset == 0
+
+
+def test_model_unknown_activation_is_rejected_at_its_field(tmp_path):
+    path = tmp_path / "relu.elm"
+    save_model(init_elm(small_config()), path)
+    raw = bytearray(path.read_bytes())
+    raw[36:52] = b"relu".ljust(16, b"\0")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match="relu") as info:
+        load_model(path)
+    assert info.value.offset == 36

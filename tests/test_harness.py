@@ -62,9 +62,10 @@ def test_different_master_seeds_differ():
     assert a.trace != b.trace
 
 
-def test_forced_stay_noise_free_error_collapses():
+def test_forced_stay_noise_free_error_collapses(monkeypatch):
+    monkeypatch.setattr(harness, "choose_action", lambda *args: MotorCommand.STAY)
     config = tiny_config(seed=3, steps=60, sigma=0.0)
-    result = run_experiment(config, force_command=MotorCommand.STAY)
+    result = run_experiment(config)
     errors = [r.error for r in result.trace]
     below = [i for i, e in enumerate(errors) if e < 1e-6]
     assert below and below[0] < 50
@@ -294,6 +295,11 @@ def test_default_config_is_the_config_default():
     assert default_config() == ExperimentConfig()
 
 
+def test_default_config_rejects_unknown_kind():
+    with pytest.raises(ConfigError, match="xyz"):
+        default_config("xyz")
+
+
 def _float_config_fields():
     from visuomotor.elm import ElmConfig
 
@@ -456,6 +462,15 @@ def test_comparison_requires_nonempty_grid():
         run_comparison(base, [], [1])
     with pytest.raises(ValueError):
         run_comparison(base, [ControllerKind.RM], [])
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_comparison_rejects_fewer_than_one_worker(monkeypatch, workers):
+    ran = []
+    monkeypatch.setattr(harness, "run_experiment", ran.append)
+    with pytest.raises(ValueError, match="worker"):
+        run_comparison(tiny_config(steps=10), [ControllerKind.RM], [1], workers)
+    assert ran == []
 
 
 def test_comparison_rejects_repeated_kinds_and_seeds():
