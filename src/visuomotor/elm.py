@@ -11,10 +11,21 @@ closed-loop experiment the hidden layer is badly conditioned (many
 saturated units, some constant): there the two readouts agree on their
 predictions but not on their parameters, which can differ by about 100%.
 
-The closed loop calls the two pieces of ``predict`` and ``update_online``
-directly, so that each step evaluates the hidden layer and the forecast
-once: ``forward`` returns both, and ``rls_update`` folds the sample into
-the readout and the accumulator in place.
+Two in-place kernels do the arithmetic: ``forward_into`` writes the hidden
+response and the forecast, and ``rls_update`` folds one residual into the
+readout and the accumulator. Both write only into a ``Workspace``, the
+buffers of one network shape, and into the state, so the closed loop
+allocates that workspace once per run and its steps allocate no array
+data. Each kernel performs the same operations, in the same order, as the
+expressions with fresh arrays they replace: a product written through
+``out=`` runs the same BLAS kernel, and an elementwise step rounds the
+same wherever it writes. Their results are therefore the same bits (the
+kernels' comments give the details). The kernels check nothing and leave
+floating-point error handling to the caller: the logistic's ``exp``
+overflows for inputs below about -709, which saturates the unit cleanly
+at 0, and callers hold ``saturating()`` around them once rather than
+once per call. ``forward``, ``predict`` and ``update_online`` are the
+checked, pure entries over the same kernels.
 
 ``save_model`` writes the whole learner state, accumulator and activation
 included, as an ``ELM2`` file; training resumes from ``load_model(path)``
@@ -39,16 +50,25 @@ _NAME_WIDTH = 16
 _HEADER = struct.Struct(f"<4s4Q{_NAME_WIDTH}s")
 
 
-def _logistic(z: np.ndarray) -> np.ndarray:
-    # exp overflow for very negative z saturates cleanly to 0
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+def _logistic(z: np.ndarray) -> None:
+    # 1 / (1 + exp(-z)), in place; negation is exact and addition commutes.
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
 
 
-ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+# Each activation overwrites its argument with its value.
+ACTIVATIONS: dict[str, Callable[[np.ndarray], None]] = {
     "logistic": _logistic,
-    "tanh": np.tanh,
+    "tanh": lambda z: np.tanh(z, out=z),
 }
+
+
+def saturating() -> np.errstate:
+    """The floating-point context the kernels run in: an overflow in the
+    logistic's ``exp`` saturates the unit at 0 without a warning."""
+    return np.errstate(over="ignore")
 
 
 @dataclass(frozen=True)
@@ -152,16 +172,50 @@ def init_elm(config: ElmConfig) -> ElmState:
     )
 
 
-def forward(state: ElmState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden response h = g(Wx + b) and forecast ``readout @ h`` for one
-    input vector (frame and velocity concatenated)."""
+class Workspace:
+    """Buffers the kernels write into, sized for one network's shape."""
+
+    def __init__(self, state: ElmState):
+        p, m = state.output_dim, state.hidden_count
+        self.h = np.empty(m)  # forward_into's output: hidden response
+        self.forecast = np.empty(p)  # and forecast
+        self.ph = np.empty(m)  # rls_update's buffers: P h
+        self.gain = np.empty(m)
+        self.readout_step = np.empty((p, m))  # the two rank-one products
+        self.gram_step = np.empty((m, m))
+
+
+def forward_into(state: ElmState, x: np.ndarray, work: Workspace) -> None:
+    """Write h = g(Wx + b) into ``work.h`` and ``readout @ h`` into
+    ``work.forecast``; ``x`` is a float64 vector of length ``input_dim``.
+
+    ``matmul`` with ``out=`` runs the same BLAS product as ``@``, and the
+    bias and the activation are elementwise, so the values equal the
+    expression's. Run it under ``saturating()``.
+    """
+    np.matmul(state.hidden_weights, x, out=work.h)
+    work.h += state.hidden_bias
+    ACTIVATIONS[state.activation](work.h)
+    np.matmul(state.readout, work.h, out=work.forecast)
+
+
+def _checked_input(state: ElmState, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (state.input_dim,):
         raise DimensionError(
             f"input has shape {x.shape}, expected ({state.input_dim},)"
         )
-    h = ACTIVATIONS[state.activation](state.hidden_weights @ x + state.hidden_bias)
-    return h, state.readout @ h
+    return x
+
+
+def forward(state: ElmState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden response h = g(Wx + b) and forecast ``readout @ h`` for one
+    input vector (frame and velocity concatenated), as fresh arrays."""
+    x = _checked_input(state, x)
+    work = Workspace(state)
+    with saturating():
+        forward_into(state, x, work)
+    return work.h, work.forecast
 
 
 def predict(state: ElmState, frame: np.ndarray, velocity: np.ndarray) -> np.ndarray:
@@ -250,9 +304,9 @@ def fit_batch(
             f"training targets have length {ys.shape[0]}, "
             f"expected {state.output_dim}"
         )
-    h = ACTIVATIONS[state.activation](
-        state.hidden_weights @ xs + state.hidden_bias[:, None]
-    )
+    h = state.hidden_weights @ xs + state.hidden_bias[:, None]
+    with saturating():
+        ACTIVATIONS[state.activation](h)
     readout = ys @ pseudo_inverse(h)
     return replace(state, readout=readout, samples_seen=len(pairs))
 
@@ -263,47 +317,57 @@ def update_online(
     """Fold one sample into a copy of the readout with recursive least
     squares (see ``rls_update``); ``state`` itself is left unchanged."""
     x, y = pair
+    x = _checked_input(state, x)
     y = np.asarray(y, dtype=float)
     if y.shape != (state.output_dim,):
         raise DimensionError(
             f"target has shape {y.shape}, expected ({state.output_dim},)"
         )
-    h, forecast = forward(state, x)
     updated = replace(
         state, readout=state.readout.copy(), inv_gram=state.inv_gram.copy()
     )
-    rls_update(updated, h, forecast, y)
+    work = Workspace(state)
+    with saturating():
+        forward_into(updated, x, work)
+        rls_update(updated, work, y - work.forecast)
     return updated
 
 
-def rls_update(
-    state: ElmState, h: np.ndarray, forecast: np.ndarray, target: np.ndarray
-) -> None:
+def rls_update(state: ElmState, work: Workspace, residual: np.ndarray) -> None:
     """Fold one sample into ``state`` in place with recursive least squares.
 
-    ``h`` and ``forecast`` are ``forward``'s output for the sample's input
-    on this state. With P the inverse-Gram accumulator:
-    ``k = P h / (1 + h' P h)``, ``readout += (target - forecast) k'`` and
+    ``work`` holds ``forward_into``'s hidden response h for the sample's
+    input on this state, and ``residual`` is the sample's target minus
+    that forecast. With P the inverse-Gram accumulator:
+    ``k = P h / (1 + h' P h)``, ``readout += residual k'`` and
     ``P -= (P h)(P h)' / (1 + h' P h)``. P is re-symmetrised afterwards
     to suppress round-off drift. A denominator that is not finite and
-    positive raises ``NumericError`` before anything is changed.
+    positive raises ``NumericError`` before the state is changed.
     """
-    ph = state.inv_gram @ h
+    h, ph, gain = work.h, work.ph, work.gain
+    np.matmul(state.inv_gram, h, out=ph)
     denom = 1.0 + h @ ph
     if not np.isfinite(denom) or denom <= 0.0:
         raise NumericError(
             f"recursive update denominator is {denom!r}; accumulator degenerate"
         )
-    gain = ph / denom
+    np.divide(ph, denom, out=gain)
     # Both rank-one products are (n, 1) @ (1, m) matrix products, which BLAS
     # forms about twice as fast as np.outer. Each entry is still one rounded
     # multiply with nothing summed, so the values equal np.outer's; at most
     # the sign of a zero product differs, and adding a zero of either sign
     # to an entry of R or P can change only the sign of a zero entry, never
     # a value.
-    state.readout += np.dot((target - forecast)[:, None], gain[None, :])
-    inv_gram = state.inv_gram - np.dot(ph[:, None], ph[None, :]) / denom
-    np.divide(inv_gram + inv_gram.T, 2.0, out=state.inv_gram)
+    np.dot(residual[:, None], gain[None, :], out=work.readout_step)
+    state.readout += work.readout_step
+    # P - (P h)(P h)' / denom, then (that + its transpose) / 2, each step
+    # elementwise and in the order of the expression with fresh arrays.
+    step = work.gram_step
+    np.dot(ph[:, None], ph[None, :], out=step)
+    step /= denom
+    np.subtract(state.inv_gram, step, out=step)
+    np.add(step, step.T, out=state.inv_gram)
+    state.inv_gram /= 2.0
     state.samples_seen += 1
 
 
@@ -343,7 +407,7 @@ def load_model(path: str | Path) -> ElmState:
 
     Malformed bytes raise ``ParseError`` at the offending offset: a bad
     magic (an ``ELM1`` file among them) at 0, an unknown activation name
-    at its field.
+    at its field, bytes after the payload at the payload's end.
     """
     data = Path(path).read_bytes()
     if data[:4] != MODEL_MAGIC:
@@ -360,8 +424,11 @@ def load_model(path: str | Path) -> ElmState:
     # Hidden weights, bias, readout and P, in file order.
     shapes = [(hidden, n), (hidden,), (p, hidden), (hidden, hidden)]
     counts = [math.prod(shape) for shape in shapes]
-    if len(data) < _HEADER.size + 8 * sum(counts):
+    expected = _HEADER.size + 8 * sum(counts)
+    if len(data) < expected:
         raise ParseError("truncated model payload", offset=len(data))
+    if len(data) > expected:
+        raise ParseError("trailing bytes after model payload", offset=expected)
     flat = np.frombuffer(data, "<f8", sum(counts), _HEADER.size)
     # Each array gets its own aligned copy, as a freshly drawn state has.
     weights, bias, readout, inv_gram = (

@@ -23,17 +23,25 @@ from .controllers import (
     ErrorHistory,
     choose_action,
 )
-from .elm import ElmConfig, ElmState, forward, init_elm, prediction_error, rls_update
+from .elm import (
+    ElmConfig,
+    ElmState,
+    Workspace,
+    forward_into,
+    init_elm,
+    rls_update,
+    saturating,
+)
 from .errors import ConfigError, NumericError
 from .world import (
+    NOISE_BLOCK_FRAMES,
     CameraState,
     MotorCommand,
     NoiseModel,
     WorldImage,
-    apply_motor,
+    _sense,
     command_to_velocity,
     load_image,
-    observe,
     synthetic_image,
 )
 
@@ -199,10 +207,30 @@ def run_experiment(
     Each step observes the current frame, picks a command from the error
     history, forecasts the next frame for that command, moves, observes
     the new frame, scores the forecast, and trains the model online on
-    the transition. The hidden response and the forecast are computed
-    once and serve both the score and the update, which changes the
-    model in place. ``world`` is the scene ``load_world(config)`` returns,
+    the transition. ``world`` is the scene ``load_world(config)`` returns,
     for callers that have already loaded it.
+
+    The run works in buffers allocated once, and its trace and model are
+    the same bits as a loop of the public ``observe``, ``predict``,
+    ``apply_motor``, ``prediction_error`` and ``update_online`` gives:
+
+    - The frame is sensed straight into the input vector's first part and
+      the velocity written into the last two entries, so nothing is
+      concatenated. Sensing is ``observe``'s ``_sense``.
+    - The sensor noise for ``NOISE_BLOCK_FRAMES // 2`` steps is drawn in
+      one ``standard_normal(out=)`` call and scaled by sigma in place.
+      ``observe``'s ``normal(0, sigma)`` computes 0 + sigma z, which is
+      sigma z, and one draw of k n values yields the values of k
+      consecutive draws of n. With sigma 0 nothing is drawn.
+    - The camera is two ints, clamped as ``apply_motor`` clamps them; the
+      check that the window fits the image is made once, up front.
+    - The hidden response and the forecast are computed once, into the
+      ELM ``Workspace``, and serve both the score and the update. The
+      residual ``target - forecast`` is computed once: the error is
+      ``r @ r / n``, equal to ``prediction_error`` because negation is
+      exact, and ``rls_update`` trains on it in place.
+    - The floating-point context of the ELM kernels is entered once per
+      run.
 
     A non-finite prediction error or a numerical failure inside the
     online update aborts the run before the step is trained on or
@@ -220,31 +248,63 @@ def run_experiment(
             f"{world.width}x{world.height} image is smaller than the camera window"
         )
     cam = initial_camera(world, config)
+    left, top, w, h = cam.left, cam.top, cam.width, cam.height
+    max_left, max_top = world.width - w, world.height - h
+    pixels = world.pixels
     state = init_elm(replace(config.elm, seed=elm_seed))
     controller = config.controller
     history = ErrorHistory(capacity=controller.window + controller.em_window)
+
+    n = w * h
+    work = Workspace(state)
+    x = np.empty(n + 2)
+    frame = x[:n].reshape(h, w)  # views of the buffers, in the window's shape
+    forecast = work.forecast.reshape(h, w)
+    residual = np.empty(n)
+    residual_2d = residual.reshape(h, w)
+    sigma = config.noise.sigma
+    noisy = sigma > 0.0
+    noise_block = np.empty((min(NOISE_BLOCK_FRAMES, 2 * config.steps), h, w))
     trace: list[StepRecord] = []
     failure = None
-    for t in range(config.steps):
-        frame = observe(world, cam, config.noise, noise_rng)
-        command = choose_action(controller.kind, history, controller, controller_rng)
-        velocity = command_to_velocity(command)
-        h, forecast = forward(state, np.concatenate([frame, velocity]))
-        cam = apply_motor(world, cam, command)
-        next_frame = observe(world, cam, config.noise, noise_rng)
-        error = prediction_error(forecast, next_frame)
-        if not math.isfinite(error):
-            failure = f"prediction error is {error!r} at step {t}"
-            break
-        try:
-            rls_update(state, h, forecast, next_frame)
-        except NumericError as exc:
-            failure = str(exc)
-            break
-        history.append(t, command, error)
-        trace.append(
-            StepRecord(t=t, cam_x=cam.left, cam_y=cam.top, command=command, error=error)
-        )
+    with saturating():
+        for t in range(config.steps):
+            k = 2 * t % NOISE_BLOCK_FRAMES
+            window = pixels[top : top + h, left : left + w]
+            if noisy:
+                if k == 0:
+                    block = noise_block[: 2 * (config.steps - t)]
+                    noise_rng.standard_normal(out=block)
+                    block *= sigma
+                _sense(window, noise_block[k], frame)
+            else:
+                frame[...] = window
+            command = choose_action(controller.kind, history, controller, controller_rng)
+            vx, vy = command_to_velocity(command)
+            x[n] = vx
+            x[n + 1] = vy
+            forward_into(state, x, work)
+            left = min(max(left + vx, 0), max_left)
+            top = min(max(top + vy, 0), max_top)
+            target = pixels[top : top + h, left : left + w]
+            if noisy:
+                sensed = noise_block[k + 1]
+                _sense(target, sensed, sensed)
+                target = sensed
+            np.subtract(target, forecast, out=residual_2d)
+            error = float(residual @ residual) / n
+            if not math.isfinite(error):
+                failure = f"prediction error is {error!r} at step {t}"
+                break
+            try:
+                rls_update(state, work, residual)
+            except NumericError as exc:
+                failure = str(exc)
+                break
+            history.append(t, command, error)
+            trace.append(
+                StepRecord(t=t, cam_x=left, cam_y=top, command=command, error=error)
+            )
     return RunResult(
         config=config,
         trace=trace,

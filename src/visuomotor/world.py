@@ -136,6 +136,25 @@ def apply_motor(
     return CameraState(left=left, top=top, width=cam.width, height=cam.height)
 
 
+# Frames of sensor noise the closed loop draws in one call: two per step,
+# 256 KB at a 32x32 camera.
+NOISE_BLOCK_FRAMES = 32
+
+
+def _sense(window: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
+    """Write ``noise + window``, clamped to [0, 1], into ``out``; all three
+    have the window's (height, width) shape, and ``out`` may be ``noise``.
+
+    IEEE addition commutes, so each sum rounds as ``window + noise`` does.
+    ``maximum`` then ``minimum`` clamp as ``np.clip`` does, with less call
+    overhead; they could disagree with it only on the sign of a zero, and
+    a -0 sum needs a -0 pixel and a -0 noise draw.
+    """
+    np.add(noise, window, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
+
+
 def observe(
     world: WorldImage,
     cam: CameraState,
@@ -151,16 +170,9 @@ def observe(
     _check_camera(world, cam)
     window = world.pixels[cam.top : cam.top + cam.height, cam.left : cam.left + cam.width]
     if noise.sigma > 0.0:
-        # The noise is drawn first and the window added into it, which saves
-        # copying the window: IEEE addition commutes, so each sum rounds as
-        # window + noise did. maximum then minimum clamp as np.clip does,
-        # with less call overhead; they could disagree with it only on the
-        # sign of a zero, and a -0 sum needs a -0 pixel and a -0 noise draw.
         frame = rng.normal(0.0, noise.sigma, cam.pixel_count)
         noisy = frame.reshape(cam.height, cam.width)  # a view of frame
-        noisy += window
-        np.maximum(frame, 0.0, out=frame)
-        np.minimum(frame, 1.0, out=frame)
+        _sense(window, noisy, noisy)
         return frame
     return window.flatten()
 

@@ -18,8 +18,10 @@ from visuomotor import elm
 from visuomotor.elm import (
     ElmConfig,
     ElmState,
+    Workspace,
     fit_batch,
     forward,
+    forward_into,
     init_elm,
     load_model,
     predict,
@@ -555,7 +557,11 @@ def test_online_is_pure_and_matches_in_place_kernel():
     )
     h, forecast = forward(twin, x)
     assert forecast.tobytes() == predict(state, x[:3], x[3:]).tobytes()
-    rls_update(twin, h, forecast, y)
+    work = Workspace(twin)
+    forward_into(twin, x, work)
+    assert work.h.tobytes() == h.tobytes()
+    assert work.forecast.tobytes() == forecast.tobytes()
+    rls_update(twin, work, y - forecast)
     assert twin.readout.tobytes() == updated.readout.tobytes()
     assert twin.inv_gram.tobytes() == updated.inv_gram.tobytes()
     assert twin.samples_seen == updated.samples_seen == 16
@@ -577,21 +583,24 @@ def test_in_place_kernel_matches_outer_recursion_at_loop_shapes(
 ):
     # BLAS picks its kernels by shape, so the bit-for-bit match with the
     # np.outer recursion is checked at the closed loop's own shapes, over
-    # several steps. Every seventh target equals its forecast, so its
-    # residual is +0, and np.outer gives -0 where the gain is negative.
+    # several steps that reuse one workspace, as the loop does. Every
+    # seventh target equals its forecast, so its residual is +0, and
+    # np.outer gives -0 where the gain is negative.
     config = ElmConfig(
         input_dim=output_dim + 2, output_dim=output_dim,
         hidden_count=hidden_count, seed=5,
     )
     state = init_elm(config)
     readout, inv_gram = state.readout.copy(), state.inv_gram.copy()
+    work = Workspace(state)
     rng = np.random.default_rng(17)
     for _ in range(6):
         x = np.concatenate([rng.uniform(0, 1, output_dim), rng.integers(-1, 2, 2)])
         y = rng.uniform(0, 1, output_dim)
         h, forecast = forward(state, x)
         y[1::7] = forecast[1::7]
-        rls_update(state, h, forecast, y)
+        forward_into(state, x, work)
+        rls_update(state, work, y - work.forecast)
 
         ph = inv_gram @ h
         denom = 1.0 + h @ ph
@@ -605,9 +614,10 @@ def test_in_place_kernel_matches_outer_recursion_at_loop_shapes(
 def test_in_place_kernel_failure_changes_nothing():
     state = manual_state(np.zeros((2, 3)), np.zeros(2), np.ones((1, 2)))
     state.inv_gram = -10.0 * np.eye(2)
-    h, forecast = forward(state, np.zeros(3))
+    work = Workspace(state)
+    forward_into(state, np.zeros(3), work)
     with pytest.raises(NumericError):
-        rls_update(state, h, forecast, np.zeros(1))
+        rls_update(state, work, np.zeros(1) - work.forecast)
     assert np.array_equal(state.readout, np.ones((1, 2)))
     assert np.array_equal(state.inv_gram, -10.0 * np.eye(2))
     assert state.samples_seen == 0
@@ -730,6 +740,20 @@ def test_model_bad_inputs(tmp_path):
     short.write_bytes(truncated)
     with pytest.raises(ParseError):
         load_model(short)
+
+
+def test_model_trailing_bytes_are_rejected_at_the_payload_end(tmp_path):
+    state = init_elm(small_config())
+    path = tmp_path / "model.elm"
+    save_model(state, path)
+    exact = path.read_bytes()
+    loaded = load_model(path)  # a file of exact length loads
+    assert loaded.readout.tobytes() == state.readout.tobytes()
+    assert loaded.inv_gram.tobytes() == state.inv_gram.tobytes()
+    path.write_bytes(exact + b"junk")
+    with pytest.raises(ParseError, match="trailing bytes") as info:
+        load_model(path)
+    assert info.value.offset == len(exact)
 
 
 def test_model_elm1_file_is_rejected_at_offset_0(tmp_path):

@@ -6,6 +6,7 @@ use small camera windows so each run takes milliseconds.
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,25 @@ from visuomotor.harness import (
     run_comparison,
     run_experiment,
 )
-from visuomotor.world import MotorCommand, NoiseModel, WorldImage, to_pgm_p2
+from visuomotor.elm import (
+    ElmConfig,
+    forward,
+    init_elm,
+    predict,
+    prediction_error,
+    update_online,
+)
+from visuomotor.world import (
+    NOISE_BLOCK_FRAMES,
+    MotorCommand,
+    NoiseModel,
+    WorldImage,
+    apply_motor,
+    command_to_velocity,
+    observe,
+    synthetic_image,
+    to_pgm_p2,
+)
 
 
 def tiny_config(kind=ControllerKind.RM, seed=0, steps=50, sigma=0.01, **kwargs):
@@ -141,11 +160,11 @@ def test_numeric_failure_flags_partial_trace(monkeypatch):
     calls = {"n": 0}
     real = harness.rls_update
 
-    def failing(state, h, forecast, target):
+    def failing(state, work, residual):
         calls["n"] += 1
         if calls["n"] >= 5:
             raise NumericError("synthetic failure")
-        return real(state, h, forecast, target)
+        return real(state, work, residual)
 
     monkeypatch.setattr(harness, "rls_update", failing)
     result = run_experiment(tiny_config(steps=20))
@@ -158,16 +177,15 @@ def test_numeric_failure_flags_partial_trace(monkeypatch):
 def nan_forecast_at(monkeypatch, step):
     """Make the forecast of closed-loop step ``step`` all NaN."""
     calls = {"n": 0}
-    real = harness.forward
+    real = harness.forward_into
 
-    def corrupting(state, x):
-        h, forecast = real(state, x)
+    def corrupting(state, x, work):
+        real(state, x, work)
         calls["n"] += 1
         if calls["n"] == step + 1:
-            forecast = np.full_like(forecast, np.nan)
-        return h, forecast
+            work.forecast[:] = np.nan
 
-    monkeypatch.setattr(harness, "forward", corrupting)
+    monkeypatch.setattr(harness, "forward_into", corrupting)
 
 
 def test_non_finite_error_ends_run_cleanly(monkeypatch):
@@ -251,6 +269,140 @@ def test_traces_bit_identical_to_pinned_hashes(seed):
     for kind, config in zip(ControllerKind, configs):
         result = run_experiment(config, world=world)
         assert trace_sha256(result.trace) == PINNED_TRACE_HASHES[(kind.value, seed)], kind
+
+
+# ---------------------------------------------------------------------------
+# The fused loop against the public per-step functions
+
+
+NOISE_BLOCK_STEPS = NOISE_BLOCK_FRAMES // 2
+
+
+def reference_run(config, world):
+    """``run_experiment`` rebuilt from the public, allocating functions, one
+    call per stage, as ``benchmarks/traced.py`` rebuilds it."""
+    elm_seed, noise_seed, controller_seed, _ = harness._derived_seeds(
+        config.master_seed
+    )
+    noise_rng = np.random.default_rng(noise_seed)
+    controller_rng = np.random.default_rng(controller_seed)
+    cam = initial_camera(world, config)
+    state = init_elm(dataclasses.replace(config.elm, seed=elm_seed))
+    cfg = config.controller
+    history = ErrorHistory(capacity=cfg.window + cfg.em_window)
+    trace = []
+    for t in range(config.steps):
+        frame = observe(world, cam, config.noise, noise_rng)
+        command = choose_action(cfg.kind, history, cfg, controller_rng)
+        velocity = command_to_velocity(command)
+        forecast = predict(state, frame, velocity)
+        cam = apply_motor(world, cam, command)
+        next_frame = observe(world, cam, config.noise, noise_rng)
+        error = prediction_error(forecast, next_frame)
+        state = update_online(state, (np.concatenate([frame, velocity]), next_frame))
+        history.append(t, command, error)
+        trace.append(record(t, cam.left, cam.top, command, error))
+    return trace, state
+
+
+def wide_config(kind, steps, sigma, seed=4):
+    """A 6x4 camera and short controller windows, so that the policies act
+    within a few steps."""
+    return ExperimentConfig(
+        steps=steps,
+        elm=harness._elm_config(24, hidden_count=5),
+        controller=ControllerConfig(kind=kind, window=6, em_window=3),
+        noise=NoiseModel(sigma=sigma),
+        window_w=6,
+        window_h=4,
+        master_seed=seed,
+    )
+
+
+# The camera can take 4 positions across and 4 down, so moves often hit
+# the border.
+SMALL_SCENE = synthetic_image(9, 7, seed=5)
+
+
+def assert_same_run(result, trace, state):
+    assert result.trace == trace
+    assert trace_sha256(result.trace) == trace_sha256(trace)  # signs of zeros too
+    assert result.elm_state.readout.tobytes() == state.readout.tobytes()
+    assert result.elm_state.inv_gram.tobytes() == state.inv_gram.tobytes()
+    assert result.elm_state.samples_seen == state.samples_seen == len(trace)
+
+
+@pytest.mark.parametrize("steps", [
+    1, NOISE_BLOCK_STEPS - 1, NOISE_BLOCK_STEPS, NOISE_BLOCK_STEPS + 1,
+    2 * NOISE_BLOCK_STEPS + 3,
+])
+@pytest.mark.parametrize("sigma", [0.01, 0.0])
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_run_matches_loop_of_public_functions(kind, sigma, steps):
+    config = wide_config(kind, steps, sigma)
+    result = run_experiment(config, world=SMALL_SCENE)
+    assert result.valid
+    assert_same_run(result, *reference_run(config, SMALL_SCENE))
+
+
+def test_small_scene_makes_moves_hit_the_border():
+    config = wide_config(ControllerKind.RM, 2 * NOISE_BLOCK_STEPS + 3, 0.01)
+    trace, _ = reference_run(config, SMALL_SCENE)
+    start = initial_camera(SMALL_SCENE, config)
+    positions = [(start.left, start.top)] + [(r.cam_x, r.cam_y) for r in trace]
+    blocked = [
+        r for r, before in zip(trace, positions)
+        if r.command is not MotorCommand.STAY and (r.cam_x, r.cam_y) == before
+    ]
+    assert blocked
+
+
+@pytest.mark.parametrize("failure", ["nan_forecast", "rls_update"])
+def test_abort_inside_a_noise_block_returns_reference_prefix(monkeypatch, failure):
+    abort_at = NOISE_BLOCK_STEPS + 2  # the third step of the second block
+    if failure == "nan_forecast":
+        nan_forecast_at(monkeypatch, abort_at)
+    else:
+        real = harness.rls_update
+        calls = {"n": 0}
+
+        def failing(state, work, residual):
+            calls["n"] += 1
+            if calls["n"] == abort_at + 1:
+                raise NumericError("synthetic failure")
+            real(state, work, residual)
+
+        monkeypatch.setattr(harness, "rls_update", failing)
+    config = wide_config(ControllerKind.MAXLP, 2 * NOISE_BLOCK_STEPS + 3, 0.01)
+    result = run_experiment(config, world=SMALL_SCENE)
+    assert not result.valid
+    assert len(result.trace) == abort_at
+    reference = reference_run(dataclasses.replace(config, steps=abort_at), SMALL_SCENE)
+    assert_same_run(result, *reference)
+
+
+def test_saturating_logistic_is_silent():
+    # Weights in [-1001, -1000] on a mid-grey scene drive every W x + b
+    # below -800, where the logistic's exp(-z) overflows to inf.
+    scene = WorldImage(np.full((9, 10), 0.5))
+    config = dataclasses.replace(
+        wide_config(ControllerKind.MAXLP, 20, 0.01),
+        elm=ElmConfig(input_dim=26, output_dim=24, hidden_count=5,
+                      weight_init_low=-1001.0, weight_init_high=-1000.0),
+    )
+    state = init_elm(config.elm)
+    x = np.concatenate([np.full(24, 0.5), [1.0, 0.0]])
+    z = state.hidden_weights @ x + state.hidden_bias
+    assert z.max() < -800
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        1.0 / (1.0 + np.exp(-z))  # the bare expression does warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, forecast = forward(state, x)
+        assert forecast.tobytes() == predict(state, x[:24], x[24:]).tobytes()
+        result = run_experiment(config, world=scene)
+    assert np.all(h == 0.0)
+    assert result.valid and len(result.trace) == 20
 
 
 def test_image_file_source(tmp_path):
