@@ -183,6 +183,10 @@ class Workspace:
         self.gain = np.empty(m)
         self.readout_step = np.empty((p, m))  # the two rank-one products
         self.gram_step = np.empty((m, m))
+        # Column and row views of the rank-one products' factors.
+        self.gain_row = self.gain[None, :]
+        self.ph_col = self.ph[:, None]
+        self.ph_row = self.ph[None, :]
 
 
 def forward_into(state: ElmState, x: np.ndarray, work: Workspace) -> None:
@@ -340,34 +344,39 @@ def rls_update(state: ElmState, work: Workspace, residual: np.ndarray) -> None:
     input on this state, and ``residual`` is the sample's target minus
     that forecast. With P the inverse-Gram accumulator:
     ``k = P h / (1 + h' P h)``, ``readout += residual k'`` and
-    ``P -= (P h)(P h)' / (1 + h' P h)``. P is re-symmetrised afterwards
-    to suppress round-off drift. A denominator that is not finite and
+    ``P -= (P h)(P h)' / (1 + h' P h)``. P stays exactly symmetric, bit
+    for bit, if it starts so. A denominator that is not finite and
     positive raises ``NumericError`` before the state is changed.
     """
-    h, ph, gain = work.h, work.ph, work.gain
+    h, ph = work.h, work.ph
     np.matmul(state.inv_gram, h, out=ph)
     denom = 1.0 + h @ ph
-    if not np.isfinite(denom) or denom <= 0.0:
+    if not math.isfinite(denom) or denom <= 0.0:
         raise NumericError(
             f"recursive update denominator is {denom!r}; accumulator degenerate"
         )
-    np.divide(ph, denom, out=gain)
+    np.divide(ph, denom, out=work.gain)
     # Both rank-one products are (n, 1) @ (1, m) matrix products, which BLAS
     # forms about twice as fast as np.outer. Each entry is still one rounded
     # multiply with nothing summed, so the values equal np.outer's; at most
     # the sign of a zero product differs, and adding a zero of either sign
     # to an entry of R or P can change only the sign of a zero entry, never
     # a value.
-    np.dot(residual[:, None], gain[None, :], out=work.readout_step)
+    np.dot(residual[:, None], work.gain_row, out=work.readout_step)
     state.readout += work.readout_step
-    # P - (P h)(P h)' / denom, then (that + its transpose) / 2, each step
-    # elementwise and in the order of the expression with fresh arrays.
+    # P - (P h)(P h)' / denom, each step elementwise and in the order of the
+    # expression with fresh arrays. Entries (i, j) and (j, i) of the step
+    # are ph_i ph_j / denom and ph_j ph_i / denom, equal because
+    # multiplication commutes. Only a zero's sign might differ between them,
+    # and that shows in P - step only where P holds -0, which I / delta does
+    # not and no subtraction creates. So a symmetric P stays symmetric bit
+    # for bit, and ``load_model`` rejects one that is not. Re-symmetrising
+    # would change nothing: for a symmetric P short of overflow,
+    # (P + P') / 2 = 2P / 2 = P exactly.
     step = work.gram_step
-    np.dot(ph[:, None], ph[None, :], out=step)
+    np.dot(work.ph_col, work.ph_row, out=step)
     step /= denom
-    np.subtract(state.inv_gram, step, out=step)
-    np.add(step, step.T, out=state.inv_gram)
-    state.inv_gram /= 2.0
+    state.inv_gram -= step
     state.samples_seen += 1
 
 
@@ -407,7 +416,9 @@ def load_model(path: str | Path) -> ElmState:
 
     Malformed bytes raise ``ParseError`` at the offending offset: a bad
     magic (an ``ELM1`` file among them) at 0, an unknown activation name
-    at its field, bytes after the payload at the payload's end.
+    at its field, a P that is not symmetric bit for bit at P's field
+    (``rls_update`` keeps P symmetric only if it starts so), bytes after
+    the payload at the payload's end.
     """
     data = Path(path).read_bytes()
     if data[:4] != MODEL_MAGIC:
@@ -435,6 +446,9 @@ def load_model(path: str | Path) -> ElmState:
         part.reshape(shape).copy()
         for part, shape in zip(np.split(flat, np.cumsum(counts)[:-1]), shapes)
     )
+    if inv_gram.tobytes() != inv_gram.T.tobytes():
+        raise ParseError("accumulator P is not symmetric",
+                         offset=expected - 8 * counts[3])
     weights.setflags(write=False)
     bias.setflags(write=False)
     return ElmState(

@@ -384,10 +384,10 @@ def run_comparison(
 ) -> ComparisonResult:
     """Run every (controller, seed) cell and aggregate the metrics.
 
-    Cells are independent; with ``workers > 1`` they execute in separate
-    processes; fewer than one worker is a ``ValueError``. Aggregation
-    order is fixed by (kind, seed) so the result does not depend on
-    completion order.
+    Cells are independent; with ``workers > 1`` they execute in a pool of
+    at most one process per cell; fewer than one worker is a
+    ``ValueError``. Aggregation order is fixed by (kind, seed) so the
+    result does not depend on completion order.
     """
     if not kinds or not seeds:
         raise ValueError("run_comparison needs at least one kind and one seed")
@@ -405,6 +405,9 @@ def run_comparison(
         )
         for kind, seed in cells
     ]
+    # The pool forks all its workers at the first submit, so it gets no
+    # more than there are cells.
+    workers = min(workers, len(configs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, configs))

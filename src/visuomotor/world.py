@@ -5,6 +5,7 @@ synthetic image so nothing external is required."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -384,14 +385,25 @@ def synthetic_image(
     The low frequencies make distinct regions distinguishable; the high
     ones make a one-pixel camera move visible against the sensor noise,
     like the texture of a photograph.
+
+    The sum runs on two threads: a helper thread fills the top half of
+    the rows while the calling thread fills the bottom half; numpy
+    releases the GIL inside the ufunc loops, so the halves overlap. The
+    pixels are the same bits as a serial sum over all rows. The random
+    draws happen first, in the serial order, and each pixel's value goes
+    through the same elementwise operations on the same operands, in the
+    same order over the components, whichever half holds it and however
+    long its buffer is. The helper is joined before the sum is normalised,
+    so no thread outlives the call, and a process forked afterwards (the
+    process pool of ``harness.run_comparison``) never forks a live thread.
     """
     if width < 1 or height < 1:
         raise ConfigError("synthetic image dimensions must be positive")
     rng = np.random.default_rng(seed)
     u = (np.arange(width) + 0.5) / max(width, height)
     v = (np.arange(height) + 0.5) / max(width, height)
-    field = np.zeros((height, width))
-    term = np.empty((height, width))
+    # Per component: fy v, fx u, the phase and the amplitude divisor.
+    waves = []
     f_low, f_high = 1.5, 64.0
     for k in range(components):
         freq = f_low * (f_high / f_low) ** (k / max(components - 1, 1))
@@ -399,15 +411,28 @@ def synthetic_image(
         phase = rng.uniform(0.0, 2.0 * np.pi)
         fx = freq * np.cos(angle)
         fy = freq * np.sin(angle)
-        # sin(2π (fx u + fy v) + phase) / freq^0.3, one operation at a time
-        # in one buffer; IEEE addition commutes, so the outer sum
-        # fy v + fx u rounds exactly as fx u + fy v.
-        np.add.outer(fy * v, fx * u, out=term)
-        term *= 2.0 * np.pi
-        term += phase
-        np.sin(term, out=term)
-        term /= freq**0.3
-        field += term
+        waves.append((fy * v, fx * u, phase, freq**0.3))
+    field = np.zeros((height, width))
+
+    def fill(rows: slice) -> None:
+        part = field[rows]
+        term = np.empty_like(part)
+        for fy_v, fx_u, phase, divisor in waves:
+            # sin(2π (fx u + fy v) + phase) / freq^0.3, one operation at a
+            # time in one buffer; IEEE addition commutes, so the outer sum
+            # fy v + fx u rounds exactly as fx u + fy v.
+            np.add.outer(fy_v[rows], fx_u, out=term)
+            term *= 2.0 * np.pi
+            term += phase
+            np.sin(term, out=term)
+            term /= divisor
+            part += term
+
+    middle = height // 2
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
+        top = helper.submit(fill, slice(0, middle))
+        fill(slice(middle, height))
+        top.result()
     low, high = field.min(), field.max()
     if high > low:
         field -= low

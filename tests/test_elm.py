@@ -28,6 +28,7 @@ from visuomotor.elm import (
     prediction_error,
     pseudo_inverse,
     rls_update,
+    saturating,
     save_model,
     update_online,
 )
@@ -611,6 +612,30 @@ def test_in_place_kernel_matches_outer_recursion_at_loop_shapes(
         assert state.inv_gram.tobytes() == inv_gram.tobytes()
 
 
+@pytest.mark.parametrize("output_dim, hidden_count", [(1024, 30), (64, 30)])
+def test_in_place_kernel_keeps_inv_gram_symmetric_bit_for_bit(
+    output_dim, hidden_count
+):
+    # rls_update does not re-symmetrise P: its step is symmetric by itself.
+    config = ElmConfig(
+        input_dim=output_dim + 2, output_dim=output_dim,
+        hidden_count=hidden_count, seed=6,
+    )
+    state = init_elm(config)
+    work = Workspace(state)
+    rng = np.random.default_rng(18)
+    with saturating():
+        for _ in range(50):
+            x = np.concatenate(
+                [rng.uniform(0, 1, output_dim), rng.integers(-1, 2, 2)]
+            )
+            forward_into(state, x, work)
+            rls_update(state, work, rng.uniform(0, 1, output_dim) - work.forecast)
+    assert state.samples_seen == 50
+    assert not np.array_equal(state.inv_gram, init_elm(config).inv_gram)
+    assert state.inv_gram.tobytes() == state.inv_gram.T.copy().tobytes()
+
+
 def test_in_place_kernel_failure_changes_nothing():
     state = manual_state(np.zeros((2, 3)), np.zeros(2), np.ones((1, 2)))
     state.inv_gram = -10.0 * np.eye(2)
@@ -754,6 +779,34 @@ def test_model_trailing_bytes_are_rejected_at_the_payload_end(tmp_path):
     with pytest.raises(ParseError, match="trailing bytes") as info:
         load_model(path)
     assert info.value.offset == len(exact)
+
+
+def test_model_asymmetric_inv_gram_is_rejected_at_its_field(tmp_path):
+    config = ElmConfig(input_dim=6, output_dim=3, hidden_count=4, seed=5)
+    state = init_elm(config)
+    for pair in make_pairs(5, np.random.default_rng(62)):
+        state = update_online(state, pair)
+    path = tmp_path / "model.elm"
+    save_model(state, path)
+    raw = bytearray(path.read_bytes())
+    p_offset = 52 + 8 * (4 * 6 + 4 + 3 * 4)  # after weights, bias, readout
+    assert raw[p_offset:] == state.inv_gram.astype("<f8").tobytes()
+
+    def p_entry(i, j):
+        return p_offset + 8 * (4 * i + j)
+
+    # Flip the lowest mantissa bit of P[0, 1] alone: no longer symmetric.
+    edited = raw.copy()
+    edited[p_entry(0, 1)] ^= 1
+    path.write_bytes(bytes(edited))
+    with pytest.raises(ParseError, match="symmetric") as info:
+        load_model(path)
+    assert info.value.offset == p_offset
+    # The same edit on P[1, 0] as well keeps P symmetric, and it loads.
+    edited[p_entry(1, 0)] ^= 1
+    path.write_bytes(bytes(edited))
+    loaded = load_model(path)
+    assert loaded.inv_gram[0, 1] == loaded.inv_gram[1, 0] != state.inv_gram[0, 1]
 
 
 def test_model_elm1_file_is_rejected_at_offset_0(tmp_path):

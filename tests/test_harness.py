@@ -608,6 +608,40 @@ def test_comparison_parallel_matches_sequential():
         assert parallel.results[cell].trace == result.trace
 
 
+def test_comparison_pool_has_at_most_one_worker_per_cell(monkeypatch):
+    # A process pool forks all its workers at the first submit, so a
+    # recorder stands in for it: no test may start a large pool.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(
+        harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool
+    )
+    base = tiny_config(steps=5)
+    kinds = [ControllerKind.RM, ControllerKind.MINPE]
+    comparison = run_comparison(base, kinds, [1, 2, 3, 4], workers=1000)
+    assert sizes == [8]
+    assert all(result.valid for result in comparison.results.values())
+    run_comparison(base, kinds, [1, 2, 3, 4], workers=3)
+    assert sizes == [8, 3]
+    # One cell needs no pool at all.
+    single = run_comparison(base, kinds[:1], [1], workers=1000)
+    assert single.results[(ControllerKind.RM, 1)].valid
+    assert sizes == [8, 3]
+
+
 def test_comparison_requires_nonempty_grid():
     base = tiny_config(steps=10)
     with pytest.raises(ValueError):

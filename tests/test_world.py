@@ -1,6 +1,9 @@
 """Tests for the image world: PGM parsing, camera motion, observation."""
 
+import concurrent.futures
 import hashlib
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -467,3 +470,89 @@ def test_synthetic_image_is_smooth():
 def test_synthetic_image_pixels_are_pinned(kwargs, digest):
     pixels = synthetic_image(**kwargs).pixels
     assert hashlib.sha256(pixels.tobytes()).hexdigest() == digest
+
+
+def serial_synthetic_pixels(width, height, seed, components=24):
+    """The scene summed over all rows in one buffer on one thread: the
+    reference the two-thread builder must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    u = (np.arange(width) + 0.5) / max(width, height)
+    v = (np.arange(height) + 0.5) / max(width, height)
+    field = np.zeros((height, width))
+    term = np.empty((height, width))
+    f_low, f_high = 1.5, 64.0
+    for k in range(components):
+        freq = f_low * (f_high / f_low) ** (k / max(components - 1, 1))
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        fx = freq * np.cos(angle)
+        fy = freq * np.sin(angle)
+        np.add.outer(fy * v, fx * u, out=term)
+        term *= 2.0 * np.pi
+        term += phase
+        np.sin(term, out=term)
+        term /= freq**0.3
+        field += term
+    low, high = field.min(), field.max()
+    if high > low:
+        field -= low
+        field /= high - low
+    else:
+        field = np.full_like(field, 0.5)
+    return field
+
+
+@pytest.mark.parametrize("width, height, seed, components", [
+    (9, 1, 1, 24),  # the helper's half is empty
+    (9, 2, 2, 24),  # one row each
+    (9, 7, 3, 24),  # odd: the calling thread takes the extra row
+    (37, 513, 4, 24),
+    (1, 11, 5, 24),
+    (1, 1, 6, 24),
+    (16, 12, 7, 1),
+    (64, 48, 8, 24),
+])
+def test_synthetic_image_matches_serial_sum_bit_for_bit(
+    width, height, seed, components
+):
+    pixels = synthetic_image(width, height, seed=seed, components=components).pixels
+    expected = serial_synthetic_pixels(width, height, seed, components)
+    assert pixels.tobytes() == expected.tobytes()
+
+
+def test_synthetic_image_leaves_no_thread_behind():
+    before = threading.active_count()
+    synthetic_image(32, 24, seed=1)
+    assert threading.active_count() == before
+
+
+def test_synthetic_image_helper_errors_propagate():
+    # The helper fills the top half; an error there reaches the caller.
+    calls = []
+    real_sin = np.sin
+
+    def failing_in_helper(*args, **kwargs):
+        calls.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("boom")
+        return real_sin(*args, **kwargs)
+
+    with mock.patch.object(world.np, "sin", failing_in_helper):
+        with pytest.raises(FloatingPointError, match="boom"):
+            synthetic_image(8, 8, seed=1, components=3)
+    assert any(t is not threading.main_thread() for t in calls)
+
+
+def test_synthetic_image_is_the_same_from_concurrent_callers():
+    # Four callers, each with its helper: more threads than cores, switching
+    # often. Every scene must still be the serial sum's bytes.
+    expected = serial_synthetic_pixels(96, 80, 11).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(synthetic_image, 96, 80, 11) for _ in range(4)]
+            scenes = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(scene.pixels.tobytes() == expected for scene in scenes)
