@@ -54,7 +54,7 @@ def _add_run_flags(parser: argparse.ArgumentParser,
     parser.add_argument("--epsilon", type=float,
                         default=defaults.controller.epsilon,
                         help="random-command probability")
-    parser.add_argument("--hidden", type=int, default=defaults.elm.hidden_count,
+    parser.add_argument("--hidden", type=int, default=defaults.hidden_count,
                         help="hidden neuron count")
     parser.add_argument("--window", type=int, default=defaults.controller.window,
                         help="controller lookback window")

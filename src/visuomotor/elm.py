@@ -277,9 +277,7 @@ def pseudo_inverse(matrix: np.ndarray, tolerance: float = 0.0) -> np.ndarray:
 
 
 def fit_batch(
-    config: ElmConfig,
-    state: ElmState,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    state: ElmState, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> ElmState:
     """Solve the readout over all pairs at once.
 
@@ -290,12 +288,6 @@ def fit_batch(
     """
     if len(pairs) == 0:
         raise ValueError("fit_batch requires at least one training pair")
-    if (config.input_dim, config.output_dim, config.hidden_count) != (
-        state.input_dim,
-        state.output_dim,
-        state.hidden_count,
-    ):
-        raise ConfigError("config dimensions do not match the given state")
     xs = np.column_stack([np.asarray(x, dtype=float) for x, _ in pairs])
     ys = np.column_stack([np.asarray(y, dtype=float) for _, y in pairs])
     if xs.shape[0] != state.input_dim:

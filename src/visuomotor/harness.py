@@ -51,34 +51,23 @@ FINAL_ERROR_WINDOW = 100
 ERROR_CURVE_WINDOW = 100
 
 
-def _elm_config(pixels: int, hidden_count: int) -> ElmConfig:
-    # The input is the frame plus the two velocity components.
-    return ElmConfig(
-        input_dim=pixels + 2, output_dim=pixels, hidden_count=hidden_count
-    )
-
-
-def _default_elm_config() -> ElmConfig:
-    return _elm_config(
-        ExperimentConfig.window_w * ExperimentConfig.window_h, hidden_count=30
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one seeded run needs, image content excluded.
 
     The defaults here are the standard experiment; ``default_config`` and
-    the command-line flags take theirs from this class.
+    the command-line flags take theirs from this class. ``default_config``
+    builds a square camera. ``elm`` is the ELM for the ``window_w`` by
+    ``window_h`` camera and ``hidden_count``, built once, at construction.
     """
 
     steps: int = 5000
-    elm: ElmConfig = field(default_factory=_default_elm_config)
+    hidden_count: int = 30
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     noise: NoiseModel = field(default_factory=NoiseModel)
     image_source: str = SYNTHETIC_SOURCE
     window_w: int = 32
-    window_h: int = window_w  # square by default
+    window_h: int = 32
     master_seed: int = 0
 
     def __post_init__(self):
@@ -86,17 +75,17 @@ class ExperimentConfig:
             raise ConfigError("steps must be at least 1")
         if self.window_w < 1 or self.window_h < 1:
             raise ConfigError("camera window must have positive size")
-        if self.elm.output_dim != self.window_w * self.window_h:
-            raise ConfigError(
-                f"elm output_dim {self.elm.output_dim} must equal the "
-                f"window pixel count {self.window_w * self.window_h}"
-            )
-        if self.elm.input_dim != self.elm.output_dim + 2:
-            raise ConfigError(
-                "elm input_dim must be output_dim + 2 (frame plus velocity)"
-            )
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
+        n = self.window_w * self.window_h
+        # The input is the frame plus the two velocity components.
+        elm = ElmConfig(input_dim=n + 2, output_dim=n, hidden_count=self.hidden_count)
+        object.__setattr__(self, "_elm", elm)  # the class is frozen
+
+    @property
+    def elm(self) -> ElmConfig:
+        """The ELM shape for this camera; ``run_experiment`` sets its seed."""
+        return self._elm
 
 
 _DEFAULTS = ExperimentConfig()
@@ -110,19 +99,16 @@ def default_config(
     sigma: float = _DEFAULTS.noise.sigma,
     image_source: str = _DEFAULTS.image_source,
     epsilon: float = _DEFAULTS.controller.epsilon,
-    hidden_count: int = _DEFAULTS.elm.hidden_count,
+    hidden_count: int = _DEFAULTS.hidden_count,
     window: int = _DEFAULTS.controller.window,
     em_window: int = _DEFAULTS.controller.em_window,
     camera: int = _DEFAULTS.window_w,
 ) -> ExperimentConfig:
     """The standard experiment with a square ``camera`` and the given
     overrides; every default is ``ExperimentConfig()``'s."""
-    if camera < 1:
-        # Checked before the ELM shape, which would blame the pixel count.
-        raise ConfigError("camera window must have positive size")
     return ExperimentConfig(
         steps=steps,
-        elm=_elm_config(camera * camera, hidden_count),
+        hidden_count=hidden_count,
         controller=ControllerConfig(
             kind=kind,
             window=window,

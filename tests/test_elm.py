@@ -244,7 +244,7 @@ def test_predict_matches_scalar_oracle():
     state = init_elm(config)
     rng = np.random.default_rng(21)
     state = fit_batch(
-        config, state, [(rng.uniform(0, 1, 6), rng.uniform(0, 1, 4)) for _ in range(12)]
+        state, [(rng.uniform(0, 1, 6), rng.uniform(0, 1, 4)) for _ in range(12)]
     )
     frame = rng.uniform(0, 1, 4)
     velocity = rng.uniform(-1, 1, 2)
@@ -261,7 +261,7 @@ def test_predict_interpolates_single_training_pair():
     rng = np.random.default_rng(5)
     x0 = rng.uniform(0, 1, 5)
     y0 = rng.uniform(0, 1, 3)
-    fitted = fit_batch(config, state, [(x0, y0)])
+    fitted = fit_batch(state, [(x0, y0)])
     got = predict(fitted, x0[:3], x0[3:])
     assert np.max(np.abs(got - y0)) < 1e-6
 
@@ -345,7 +345,7 @@ def test_fit_batch_zero_targets_zero_readout():
     state = init_elm(config)
     rng = np.random.default_rng(2)
     pairs = [(rng.uniform(0, 1, 5), np.zeros(3)) for _ in range(8)]
-    fitted = fit_batch(config, state, pairs)
+    fitted = fit_batch(state, pairs)
     assert np.array_equal(fitted.readout, np.zeros((3, 6)))
 
 
@@ -356,7 +356,7 @@ def test_fit_batch_recovers_known_readout():
     target_readout = rng.uniform(-1, 1, (3, 5))
     xs = [rng.uniform(-1, 1, 4) for _ in range(50)]
     pairs = [(x, target_readout @ forward(state, x)[0]) for x in xs]
-    fitted = fit_batch(config, state, pairs)
+    fitted = fit_batch(state, pairs)
     assert np.max(np.abs(fitted.readout - target_readout)) < 1e-8
 
 
@@ -366,7 +366,7 @@ def test_fit_batch_minimum_norm_on_underdetermined_instance():
     rng = np.random.default_rng(13)
     xs = [rng.uniform(-1, 1, 4) for _ in range(3)]
     ys = [rng.uniform(-1, 1, 3) for _ in range(3)]
-    fitted = fit_batch(config, state, list(zip(xs, ys)))
+    fitted = fit_batch(state, list(zip(xs, ys)))
     h = features_of(state, xs)
     y = np.column_stack(ys)
     reference = min_norm_solution(h, y)
@@ -383,7 +383,7 @@ def test_fit_batch_least_squares_optimality():
     state = init_elm(config)
     rng = np.random.default_rng(29)
     pairs = [(rng.uniform(0, 1, 5), rng.uniform(0, 1, 3)) for _ in range(40)]
-    fitted = fit_batch(config, state, pairs)
+    fitted = fit_batch(state, pairs)
     h = features_of(state, [x for x, _ in pairs])
     y = np.column_stack([t for _, t in pairs])
     best = np.linalg.norm(fitted.readout @ h - y)
@@ -400,7 +400,7 @@ def test_fit_batch_leaves_weights_and_accumulator_alone():
     gram_before = state.inv_gram.copy()
     rng = np.random.default_rng(4)
     fitted = fit_batch(
-        config, state, [(rng.uniform(0, 1, 5), rng.uniform(0, 1, 3)) for _ in range(6)]
+        state, [(rng.uniform(0, 1, 5), rng.uniform(0, 1, 3)) for _ in range(6)]
     )
     assert fitted.hidden_weights.tobytes() == weights_before.tobytes()
     assert fitted.hidden_bias.tobytes() == bias_before.tobytes()
@@ -411,14 +411,7 @@ def test_fit_batch_leaves_weights_and_accumulator_alone():
 def test_fit_batch_empty_pairs_rejected():
     config = small_config()
     with pytest.raises(ValueError):
-        fit_batch(config, init_elm(config), [])
-
-
-def test_fit_batch_mismatched_config_rejected():
-    config = small_config()
-    other = small_config(hidden_count=9)
-    with pytest.raises(ConfigError):
-        fit_batch(other, init_elm(config), [(np.zeros(5), np.zeros(3))])
+        fit_batch(init_elm(config), [])
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +448,7 @@ def test_online_matches_batch_after_200_updates():
     online = state
     for pair in pairs:
         online = update_online(online, pair)
-    batch = fit_batch(config, state, pairs)
+    batch = fit_batch(state, pairs)
     gap = np.linalg.norm(online.readout - batch.readout) / np.linalg.norm(
         batch.readout
     )
@@ -488,7 +481,7 @@ def test_online_batch_gap_shrinks_with_init_scale():
         online = state
         for pair in pairs:
             online = update_online(online, pair)
-        batch = fit_batch(config, state, pairs)
+        batch = fit_batch(state, pairs)
         gaps.append(
             np.linalg.norm(online.readout - batch.readout)
             / np.linalg.norm(batch.readout)

@@ -310,7 +310,7 @@ def wide_config(kind, steps, sigma, seed=4):
     within a few steps."""
     return ExperimentConfig(
         steps=steps,
-        elm=harness._elm_config(24, hidden_count=5),
+        hidden_count=5,
         controller=ControllerConfig(kind=kind, window=6, em_window=3),
         noise=NoiseModel(sigma=sigma),
         window_w=6,
@@ -381,16 +381,17 @@ def test_abort_inside_a_noise_block_returns_reference_prefix(monkeypatch, failur
     assert_same_run(result, *reference)
 
 
-def test_saturating_logistic_is_silent():
+def test_saturating_logistic_is_silent(monkeypatch):
     # Weights in [-1001, -1000] on a mid-grey scene drive every W x + b
     # below -800, where the logistic's exp(-z) overflows to inf.
     scene = WorldImage(np.full((9, 10), 0.5))
-    config = dataclasses.replace(
-        wide_config(ControllerKind.MAXLP, 20, 0.01),
-        elm=ElmConfig(input_dim=26, output_dim=24, hidden_count=5,
-                      weight_init_low=-1001.0, weight_init_high=-1000.0),
+    config = wide_config(ControllerKind.MAXLP, 20, 0.01)
+    extreme = dict(weight_init_low=-1001.0, weight_init_high=-1000.0)
+    monkeypatch.setattr(
+        harness, "init_elm",
+        lambda elm: init_elm(dataclasses.replace(elm, **extreme)),
     )
-    state = init_elm(config.elm)
+    state = harness.init_elm(config.elm)
     x = np.concatenate([np.full(24, 0.5), [1.0, 0.0]])
     z = state.hidden_weights @ x + state.hidden_bias
     assert z.max() < -800
@@ -403,6 +404,7 @@ def test_saturating_logistic_is_silent():
         result = run_experiment(config, world=scene)
     assert np.all(h == 0.0)
     assert result.valid and len(result.trace) == 20
+    assert result.elm_state.hidden_weights.max() <= -1000.0
 
 
 def test_image_file_source(tmp_path):
@@ -427,20 +429,32 @@ def test_camera_starts_centered():
 
 
 def test_config_validation():
-    from visuomotor.elm import ElmConfig
-
     with pytest.raises(ConfigError):
         ExperimentConfig(steps=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(
-            elm=ElmConfig(input_dim=10, output_dim=9, hidden_count=3),
-            window_w=3, window_h=3,
-        )
-    with pytest.raises(ConfigError):
-        ExperimentConfig(
-            elm=ElmConfig(input_dim=1026, output_dim=1024, hidden_count=3),
-            window_w=33, window_h=32,
-        )
+    # The derived ELM config is built, and checked, at construction.
+    with pytest.raises(ConfigError, match="hidden_count"):
+        ExperimentConfig(hidden_count=0)
+
+
+def test_experiment_config_is_flat():
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "steps", "hidden_count", "controller", "noise", "image_source",
+        "window_w", "window_h", "master_seed",
+    ]
+
+
+def test_elm_shape_follows_the_camera():
+    config = ExperimentConfig(window_w=6, window_h=4)
+    assert (config.elm.input_dim, config.elm.output_dim) == (26, 24)
+    assert default_config(camera=8).elm.output_dim == 64
+    # The height does not follow the width: only default_config squares it.
+    assert ExperimentConfig(window_w=8).elm.output_dim == 8 * 32
+    assert dataclasses.replace(config, hidden_count=7).elm.hidden_count == 7
+    assert ExperimentConfig().elm == ElmConfig(
+        input_dim=1026, output_dim=1024, hidden_count=30
+    )
+    with pytest.raises(AttributeError):
+        config.elm = ElmConfig(input_dim=26, output_dim=24, hidden_count=30)
 
 
 def test_default_config_is_the_config_default():
