@@ -19,7 +19,6 @@ from .harness import (
     ComparisonResult,
     ExperimentConfig,
     RunResult,
-    StepRecord,
     default_config,
     load_world,
     run_comparison,
@@ -128,26 +127,6 @@ def write_trace_csv(result: RunResult, path: str | Path) -> None:
                 record.command.value,
                 _format_float(record.error),
             ])
-
-
-def read_trace_csv(
-    path: str | Path,
-    window_w: int = ExperimentConfig.window_w,
-    window_h: int = ExperimentConfig.window_h,
-) -> list[StepRecord]:
-    """Parse a trace CSV back into step records (centers to top-left)."""
-    records = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            records.append(StepRecord(
-                t=int(row["t"]),
-                cam_x=int(row["cam_center_x"]) - window_w // 2,
-                cam_y=int(row["cam_center_y"]) - window_h // 2,
-                command=MotorCommand(row["cmd"]),
-                error=float(row["error"]),
-            ))
-    return records
 
 
 def write_summary(comparison: ComparisonResult, path: str | Path) -> None:

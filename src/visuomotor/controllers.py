@@ -11,7 +11,6 @@ whenever the history carries no usable signal.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, HistoryRangeError
+from .errors import ConfigError
 from .world import COMMANDS, MotorCommand
 
 
@@ -38,7 +37,8 @@ class HistoryRecord(NamedTuple):
 
 
 class ErrorHistory:
-    """Bounded ring of (timestep, command, error) records, oldest first."""
+    """Bounded ring of (timestep, command, error) records, oldest first,
+    one per step: each timestep is the previous one plus one."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -47,9 +47,9 @@ class ErrorHistory:
         self._records: deque[HistoryRecord] = deque(maxlen=capacity)
 
     def append(self, t: int, command: MotorCommand, error: float) -> None:
-        if self._records and t <= self._records[-1].t:
+        if self._records and t != self._records[-1].t + 1:
             raise ValueError(
-                f"timesteps must be strictly increasing "
+                f"timesteps must be consecutive "
                 f"(got {t} after {self._records[-1].t})"
             )
         if not math.isfinite(error) or error < 0:
@@ -63,7 +63,9 @@ class ErrorHistory:
         return iter(self._records)
 
     def errors_between(self, start: int, end: int) -> list[float]:
-        """Errors of records with timestep in the half-open range (start, end]."""
+        """Errors of records with timestep in the half-open range (start, end].
+
+        No package code calls it; ``benchmarks/traced.py`` counts its calls."""
         return [r.error for r in self._records if start < r.t <= end]
 
 
@@ -127,63 +129,38 @@ def choose_pe(
     return extreme(reversed(recent), key=attrgetter("error")).command
 
 
-def sliding_mean_error(history: ErrorHistory, at: int, em_window: int) -> float:
-    """Mean error over records with timestep in (at - em_window, at]."""
-    if em_window < 1:
-        raise ConfigError("em_window must be at least 1")
-    errors = history.errors_between(at - em_window, at)
-    if not errors:
-        raise HistoryRangeError(
-            f"no records in ({at - em_window}, {at}]"
-        )
-    return sum(errors) / len(errors)
-
-
 def choose_maxlp(
     history: ErrorHistory, cfg: ControllerConfig, rng: np.random.Generator
 ) -> MotorCommand:
     """Repeat the command whose step showed the largest learning progress.
 
     Progress at record time tau is the drop in sliding-mean error,
-    em(tau - 1) - em(tau), with em as in ``sliding_mean_error``. Records
-    where either mean is undefined are skipped; if none qualify the
-    choice is random. Ties go to the most recent record.
-
-    One pass over the ring: the timesteps are strictly increasing, so each
-    mean is the sum of an index slice found by bisection, over the same
-    errors in the same order as ``sliding_mean_error``.
+    em(tau - 1) - em(tau), where em(tau) is the mean error of the records
+    with timestep in (tau - em_window, tau]. The ring holds one record per
+    step, so with m = em_window both windows hold m errors from the ring's
+    (m + 1)-th record on, and the drop is (e[tau - m] - e[tau]) / m. Before
+    that both windows start at the ring's first record, which has no
+    em(tau - 1) and is skipped. With no record to score the choice is
+    random. Ties in the computed progress go to the most recent record.
     """
     random_pick = _epsilon_random(cfg, rng)
     if random_pick is not None:
         return random_pick
     records = list(history)
-    times = [r.t for r in records]
+    if len(records) < 2:
+        return choose_random(rng)
     errors = [r.error for r in records]
-    best_command: MotorCommand | None = None
+    m = cfg.em_window
     best_progress = -math.inf
-    prev_t = prev_lo = prev_mean = None
-    for i in range(max(0, len(records) - cfg.window), len(records)):
-        t = times[i]
-        if t - 1 == prev_t:
-            # Record i - 1 sits at t - 1, so its em(t - 1) was the sum of
-            # this very slice, errors[prev_lo:i], divided by the same count:
-            # reusing it gives the same float.
-            lo_before, mean_before = prev_lo, prev_mean
+    for i in range(max(1, len(records) - cfg.window), len(records)):
+        if i >= m:
+            progress = (errors[i - m] - errors[i]) / m
         else:
-            # em(t - 1) covers (t - 1 - em_window, t - 1], which ends before i.
-            lo_before = bisect_right(times, t - 1 - cfg.em_window, 0, i)
-            if lo_before == i:
-                continue
-            mean_before = sum(errors[lo_before:i]) / (i - lo_before)
-        lo_now = bisect_right(times, t - cfg.em_window, lo_before, i)
-        mean_now = sum(errors[lo_now:i + 1]) / (i + 1 - lo_now)
-        prev_t, prev_lo, prev_mean = t, lo_now, mean_now
-        progress = mean_before - mean_now
+            # mean(errors[:i]) - mean(errors[:i + 1]), rearranged.
+            progress = (sum(errors[:i]) / i - errors[i]) / (i + 1)
         if progress >= best_progress:
             best_command = records[i].command
             best_progress = progress
-    if best_command is None:
-        return choose_random(rng)
     return best_command
 
 

@@ -23,7 +23,3 @@ class ParseError(VisuomotorError):
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-class HistoryRangeError(VisuomotorError):
-    """A sliding-window query found no records in the requested range."""

@@ -1,5 +1,7 @@
 """Tests for the command-line interface and its file writers."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from visuomotor.cli import (
     _config_from_args,
     main,
     parse_args,
-    read_trace_csv,
     render_frames,
     write_summary,
     write_trace_csv,
@@ -118,14 +119,16 @@ def test_trace_csv_round_trip(tmp_path):
     result = tiny_run_result(seed=3, steps=25, kind=ControllerKind.MINPE)
     path = tmp_path / "trace.csv"
     write_trace_csv(result, path)
-    reparsed = read_trace_csv(path, window_w=4, window_h=4)
+    with open(path, newline="") as handle:
+        reparsed = list(csv.DictReader(handle))
     assert len(reparsed) == len(result.trace)
     for original, parsed in zip(result.trace, reparsed):
-        assert parsed.t == original.t
-        assert parsed.cam_x == original.cam_x
-        assert parsed.cam_y == original.cam_y
-        assert parsed.command == original.command
-        assert parsed.error == float(format(original.error, ".9g"))
+        # The CSV gives the center of the 4x4 window, not its top-left.
+        assert int(parsed["t"]) == original.t
+        assert int(parsed["cam_center_x"]) - 2 == original.cam_x
+        assert int(parsed["cam_center_y"]) - 2 == original.cam_y
+        assert MotorCommand(parsed["cmd"]) == original.command
+        assert float(parsed["error"]) == float(format(original.error, ".9g"))
 
 
 def test_trace_csv_reports_window_center(tmp_path):
