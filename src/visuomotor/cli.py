@@ -84,7 +84,10 @@ def build_parser() -> _Parser:
     compare.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10",
                          help="comma-separated master seeds")
     compare.add_argument("--workers", type=int, default=1,
-                         help="parallel processes for the comparison grid")
+                         help="parallel processes for the comparison grid, "
+                              "at most one per cell; each runs a contiguous "
+                              "share of the seeds, one seed's controllers "
+                              "at a time, in lockstep")
     _add_run_flags(compare, defaults)
     return parser
 
@@ -113,20 +116,20 @@ def _format_float(value: float) -> str:
 
 
 def write_trace_csv(result: RunResult, path: str | Path) -> None:
-    """One row per step: camera center, command code, prediction error."""
+    """One row per step: camera center, command code, prediction error.
+
+    The bytes are ``csv.writer``'s: no field can need quoting, since every
+    field is an integer, a command code or a formatted finite float.
+    """
     half_w = result.config.window_w // 2
     half_h = result.config.window_h // 2
+    rows = "".join(
+        f"{r.t},{r.cam_x + half_w},{r.cam_y + half_h},{r.command.value},{r.error:.9g}\n"
+        for r in result.trace
+    )
     with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["t", "cam_center_x", "cam_center_y", "cmd", "error"])
-        for record in result.trace:
-            writer.writerow([
-                record.t,
-                record.cam_x + half_w,
-                record.cam_y + half_h,
-                record.command.value,
-                _format_float(record.error),
-            ])
+        handle.write("t,cam_center_x,cam_center_y,cmd,error\n")
+        handle.write(rows)
 
 
 def write_summary(comparison: ComparisonResult, path: str | Path) -> None:

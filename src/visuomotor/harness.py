@@ -2,14 +2,18 @@
 
 One run wires the pieces together for a fixed number of steps: observe,
 choose a command, forecast the next frame, move, observe again, score
-the forecast, train online, log. Multi-seed comparisons across the four
-controllers reuse the same derived noise and image streams so that only
-the control policy differs between cells.
+the forecast, train online, log. In a comparison, the runs of one master
+seed see the same scene, hidden layer and sensor noise, so that only the
+control policy differs between them. They share one draw of each: they
+run in lockstep, one step of each in turn, on one loaded scene, one
+read-only hidden layer and one stream of noise blocks, and each run's
+trace is the same bits as that run's alone.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 import traceback
 from dataclasses import dataclass, field, replace
@@ -194,11 +198,60 @@ def run_experiment(
     history, forecasts the next frame for that command, moves, observes
     the new frame, scores the forecast, and trains the model online on
     the transition. ``world`` is the scene ``load_world(config)`` returns,
-    for callers that have already loaded it.
+    for callers that have already loaded it. The run is ``_run_lockstep``
+    on a group of one.
 
-    The run works in buffers allocated once, and its trace and model are
-    the same bits as a loop of the public ``observe``, ``predict``,
-    ``apply_motor``, ``prediction_error`` and ``update_online`` gives:
+    A non-finite prediction error or a numerical failure inside the
+    online update aborts the run before the step is trained on or
+    logged; the partial trace comes back flagged invalid instead of
+    raising. Any other exception raised inside the loop propagates.
+    """
+    [cell] = _run_lockstep([config], world)
+    if cell.exc is not None:
+        raise cell.exc
+    return _run_result(config, *_outcome(cell))
+
+
+class _Cell:
+    """What a run in a lockstep group does not share with the others: its
+    model, error history, controller stream, camera and trace columns."""
+
+    __slots__ = ("kind", "controller", "history", "rng", "state", "left", "top",
+                 "cam_x", "cam_y", "errors", "commands", "failure", "exc")
+
+    def __init__(self, config: ExperimentConfig, state: ElmState,
+                 rng: np.random.Generator, cam: CameraState):
+        controller = config.controller
+        self.kind = controller.kind
+        self.controller = controller
+        self.history = ErrorHistory(capacity=controller.window + controller.em_window)
+        self.rng = rng
+        self.state = state
+        self.left, self.top = cam.left, cam.top
+        # Step t's camera and error are written at index t; the commands
+        # list's length is the number of steps logged.
+        self.cam_x = np.empty(config.steps, dtype=np.int64)
+        self.cam_y = np.empty(config.steps, dtype=np.int64)
+        self.errors = np.empty(config.steps)
+        self.commands: list[MotorCommand] = []
+        self.failure: str | None = None  # why the run aborted
+        self.exc: Exception | None = None  # what the run raised
+
+
+def _run_lockstep(
+    configs: list[ExperimentConfig], world: WorldImage | None = None
+) -> list[_Cell]:
+    """Run configs that differ only in their controller, one step of each
+    in turn, and return their cells in the order given.
+
+    Every run of a master seed observes the same scene through the same
+    hidden layer (W, b) and the same sensor-noise stream, so the group
+    loads the scene once, draws W and b once and shares them read-only,
+    and draws each noise block once for all its runs. Each run keeps its
+    own readout and accumulator, error history, controller generator and
+    camera. A run's trace and model are the same bits as those of the run
+    alone, and as those of a loop of the public ``observe``, ``predict``,
+    ``apply_motor``, ``prediction_error`` and ``update_online``:
 
     - The frame is sensed straight into the input vector's first part and
       the velocity written into the last two entries, so nothing is
@@ -207,39 +260,49 @@ def run_experiment(
       one ``standard_normal(out=)`` call and scaled by sigma in place.
       ``observe``'s ``normal(0, sigma)`` computes 0 + sigma z, which is
       sigma z, and one draw of k n values yields the values of k
-      consecutive draws of n. With sigma 0 nothing is drawn.
+      consecutive draws of n. With sigma 0 nothing is drawn. The sensed
+      target goes into a scratch buffer, never into the block, which the
+      group's later runs still read.
     - The camera is two ints, clamped as ``apply_motor`` clamps them; the
       check that the window fits the image is made once, up front.
-    - The hidden response and the forecast are computed once, into the
+    - The hidden response and the forecast are computed once, into one
       ELM ``Workspace``, and serve both the score and the update. The
       residual ``target - forecast`` is computed once: the error is
       ``r @ r / n``, equal to ``prediction_error`` because negation is
-      exact, and ``rls_update`` trains on it in place.
+      exact, and ``rls_update`` trains on it in place. Each run's step
+      has finished with the shared buffers before the next run's starts.
     - The floating-point context of the ELM kernels is entered once per
-      run.
+      group.
 
-    A non-finite prediction error or a numerical failure inside the
-    online update aborts the run before the step is trained on or
-    logged; the partial trace comes back flagged invalid instead of
-    raising.
+    A run whose step fails leaves the group, and the others go on as if
+    alone: an abort (see ``run_experiment``) sets the cell's ``failure``,
+    and any other exception is kept, unraised, in its ``exc``.
     """
-    elm_seed, noise_seed, controller_seed, _ = _derived_seeds(config.master_seed)
+    first = configs[0]
+    if any(replace(c, controller=first.controller) != first for c in configs):
+        raise ValueError("a lockstep group's configs may differ only in the controller")
+    elm_seed, noise_seed, controller_seed, _ = _derived_seeds(first.master_seed)
     noise_rng = np.random.default_rng(noise_seed)
-    controller_rng = np.random.default_rng(controller_seed)
 
     if world is None:
-        world = load_world(config)
-    if world.width < config.window_w or world.height < config.window_h:
+        world = load_world(first)
+    if world.width < first.window_w or world.height < first.window_h:
         raise ConfigError(
             f"{world.width}x{world.height} image is smaller than the camera window"
         )
-    cam = initial_camera(world, config)
-    left, top, w, h = cam.left, cam.top, cam.width, cam.height
+    cam = initial_camera(world, first)
+    w, h = cam.width, cam.height
     max_left, max_top = world.width - w, world.height - h
     pixels = world.pixels
-    state = init_elm(replace(config.elm, seed=elm_seed))
-    controller = config.controller
-    history = ErrorHistory(capacity=controller.window + controller.em_window)
+    state = init_elm(replace(first.elm, seed=elm_seed))
+    states = [state] + [
+        replace(state, readout=state.readout.copy(), inv_gram=state.inv_gram.copy())
+        for _ in configs[1:]
+    ]
+    cells = [
+        _Cell(config, s, np.random.default_rng(controller_seed), cam)
+        for config, s in zip(configs, states)
+    ]
 
     n = w * h
     work = Workspace(state)
@@ -248,49 +311,93 @@ def run_experiment(
     forecast = work.forecast.reshape(h, w)
     residual = np.empty(n)
     residual_2d = residual.reshape(h, w)
-    sigma = config.noise.sigma
+    sensed = np.empty((h, w))
+    steps = first.steps
+    sigma = first.noise.sigma
     noisy = sigma > 0.0
-    noise_block = np.empty((min(NOISE_BLOCK_FRAMES, 2 * config.steps), h, w))
-    trace: list[StepRecord] = []
-    failure = None
+    noise_block = np.empty((min(NOISE_BLOCK_FRAMES, 2 * steps), h, w))
+    live = cells
     with saturating():
-        for t in range(config.steps):
+        for t in range(steps):
             k = 2 * t % NOISE_BLOCK_FRAMES
-            window = pixels[top : top + h, left : left + w]
-            if noisy:
-                if k == 0:
-                    block = noise_block[: 2 * (config.steps - t)]
-                    noise_rng.standard_normal(out=block)
-                    block *= sigma
-                _sense(window, noise_block[k], frame)
-            else:
-                frame[...] = window
-            command = choose_action(controller.kind, history, controller, controller_rng)
-            vx, vy = command_to_velocity(command)
-            x[n] = vx
-            x[n + 1] = vy
-            forward_into(state, x, work)
-            left = min(max(left + vx, 0), max_left)
-            top = min(max(top + vy, 0), max_top)
-            target = pixels[top : top + h, left : left + w]
-            if noisy:
-                sensed = noise_block[k + 1]
-                _sense(target, sensed, sensed)
-                target = sensed
-            np.subtract(target, forecast, out=residual_2d)
-            error = float(residual @ residual) / n
-            if not math.isfinite(error):
-                failure = f"prediction error is {error!r} at step {t}"
-                break
-            try:
-                rls_update(state, work, residual)
-            except NumericError as exc:
-                failure = str(exc)
-                break
-            history.append(t, command, error)
-            trace.append(
-                StepRecord(t=t, cam_x=left, cam_y=top, command=command, error=error)
-            )
+            if noisy and k == 0:
+                block = noise_block[: 2 * (steps - t)]
+                noise_rng.standard_normal(out=block)
+                block *= sigma
+            ended = False
+            for cell in live:
+                try:
+                    left, top = cell.left, cell.top
+                    window = pixels[top : top + h, left : left + w]
+                    if noisy:
+                        _sense(window, noise_block[k], frame)
+                    else:
+                        frame[...] = window
+                    command = choose_action(
+                        cell.kind, cell.history, cell.controller, cell.rng
+                    )
+                    vx, vy = command_to_velocity(command)
+                    x[n] = vx
+                    x[n + 1] = vy
+                    forward_into(cell.state, x, work)
+                    left = min(max(left + vx, 0), max_left)
+                    top = min(max(top + vy, 0), max_top)
+                    target = pixels[top : top + h, left : left + w]
+                    if noisy:
+                        _sense(target, noise_block[k + 1], sensed)
+                        target = sensed
+                    np.subtract(target, forecast, out=residual_2d)
+                    error = float(residual @ residual) / n
+                    if not math.isfinite(error):
+                        raise NumericError(f"prediction error is {error!r} at step {t}")
+                    rls_update(cell.state, work, residual)
+                    cell.history.append(t, command, error)
+                except NumericError as exc:
+                    cell.failure = str(exc)
+                    ended = True
+                    continue
+                except Exception as exc:  # noqa: BLE001 - one run cannot sink the group
+                    cell.exc = exc
+                    ended = True
+                    continue
+                cell.commands.append(command)
+                cell.left = cell.cam_x[t] = left
+                cell.top = cell.cam_y[t] = top
+                cell.errors[t] = error
+            if ended:
+                live = [c for c in live if c.failure is None and c.exc is None]
+                if not live:
+                    break
+    return cells
+
+
+def _outcome(cell: _Cell) -> tuple:
+    """A finished cell as (trace columns, model, failure): what a pool
+    worker sends back. A cell that raised sends neither columns nor model."""
+    if cell.exc is not None:
+        return None, None, _describe(cell.exc)
+    done = len(cell.commands)
+    columns = (cell.cam_x[:done], cell.cam_y[:done], cell.errors[:done], cell.commands)
+    return columns, cell.state, cell.failure
+
+
+def _describe(exc: Exception) -> str:
+    """A failed cell's ``failure``: the exception and its traceback."""
+    return f"{type(exc).__name__}: {exc}\n{''.join(traceback.format_exception(exc))}"
+
+
+def _run_result(
+    config: ExperimentConfig,
+    columns: tuple | None,
+    state: ElmState | None,
+    failure: str | None,
+) -> RunResult:
+    """The ``RunResult`` of a cell's ``_outcome``."""
+    trace: list[StepRecord] = []
+    if columns is not None:
+        cam_x, cam_y, errors, commands = columns
+        trace = list(map(StepRecord, range(len(commands)), cam_x.tolist(),
+                         cam_y.tolist(), commands, errors.tolist()))
     return RunResult(
         config=config,
         trace=trace,
@@ -347,19 +454,24 @@ class ComparisonResult:
     rankings: dict[int, list[ControllerKind]]  # seed -> kinds by ascending final error
 
 
-def _run_cell(config: ExperimentConfig) -> RunResult:
-    # Isolate per-cell failures so one bad run cannot sink the grid.
-    try:
-        return run_experiment(config)
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        return RunResult(
-            config=config,
-            trace=[],
-            metrics=None,
-            elm_state=None,
-            valid=False,
-            failure=f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
-        )
+def _run_chunk(configs: list[ExperimentConfig]) -> list[tuple]:
+    """One pool task: run seed-major configs one master seed at a time, each
+    seed's configs in lockstep, and return their ``_outcome``s in order.
+
+    A failure stays in its cell: a group whose set-up raises fails each of
+    its cells with that exception and its traceback, and a run that raises
+    fails alone.
+    """
+    outcomes = []
+    for _, group in itertools.groupby(configs, key=lambda c: c.master_seed):
+        group = list(group)
+        try:
+            cells = _run_lockstep(group)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+            outcomes += [(None, None, _describe(exc))] * len(group)
+        else:
+            outcomes += [_outcome(cell) for cell in cells]
+    return outcomes
 
 
 def run_comparison(
@@ -370,10 +482,17 @@ def run_comparison(
 ) -> ComparisonResult:
     """Run every (controller, seed) cell and aggregate the metrics.
 
-    Cells are independent; with ``workers > 1`` they execute in a pool of
-    at most one process per cell; fewer than one worker is a
-    ``ValueError``. Aggregation order is fixed by (kind, seed) so the
-    result does not depend on completion order.
+    Each cell's trace and model are the bits ``run_experiment`` gives for
+    its config. The cells are ordered seed-major and split into
+    ``min(workers, cells)`` contiguous chunks whose sizes differ by at
+    most one; fewer than one worker is a ``ValueError``. With more than
+    one chunk, each is one task of a pool of that many processes. A chunk
+    runs the cells of each of its seeds in lockstep (``_run_lockstep``),
+    so they share one scene, one hidden layer and one noise draw, and a
+    worker holds its chunk's trace columns and models, as compact arrays,
+    until the chunk returns. The parent builds every ``RunResult`` from
+    them. Aggregation order is fixed by (kind, seed) so the result does
+    not depend on completion order.
     """
     if not kinds or not seeds:
         raise ValueError("run_comparison needs at least one kind and one seed")
@@ -382,7 +501,7 @@ def run_comparison(
     kinds = [ControllerKind(k) for k in kinds]
     if len(set(kinds)) != len(kinds) or len(set(seeds)) != len(seeds):
         raise ValueError("run_comparison needs distinct kinds and distinct seeds")
-    cells = [(kind, seed) for kind in kinds for seed in seeds]
+    cells = [(kind, seed) for seed in seeds for kind in kinds]
     configs = [
         replace(
             base,
@@ -394,12 +513,19 @@ def run_comparison(
     # The pool forks all its workers at the first submit, so it gets no
     # more than there are cells.
     workers = min(workers, len(configs))
+    size, extra = divmod(len(configs), workers)
+    bounds = [i * size + min(i, extra) for i in range(workers + 1)]
+    chunks = [configs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, configs))
+            outcomes = [o for chunk in pool.map(_run_chunk, chunks) for o in chunk]
     else:
-        outcomes = [_run_cell(config) for config in configs]
-    results = dict(zip(cells, outcomes))
+        outcomes = _run_chunk(configs)
+    by_cell = {
+        cell: _run_result(config, *outcome)
+        for cell, config, outcome in zip(cells, configs, outcomes)
+    }
+    results = {(kind, seed): by_cell[(kind, seed)] for kind in kinds for seed in seeds}
 
     # Only valid cells make the medians and the ranks; failed ones rank last.
     counted = {cell: r.metrics for cell, r in results.items() if r.valid}

@@ -18,7 +18,13 @@ from visuomotor.cli import (
     write_trace_csv,
 )
 from visuomotor.controllers import ControllerKind
-from visuomotor.harness import default_config, run_comparison, run_experiment
+from visuomotor.harness import (
+    RunResult,
+    StepRecord,
+    default_config,
+    run_comparison,
+    run_experiment,
+)
 from visuomotor.world import CameraState, MotorCommand, WorldImage, load_image
 
 
@@ -129,6 +135,44 @@ def test_trace_csv_round_trip(tmp_path):
         assert int(parsed["cam_center_y"]) - 2 == original.cam_y
         assert MotorCommand(parsed["cmd"]) == original.command
         assert float(parsed["error"]) == float(format(original.error, ".9g"))
+
+
+def reference_trace_csv(result, path):
+    """The trace CSV as ``csv.writer`` writes it."""
+    half_w = result.config.window_w // 2
+    half_h = result.config.window_h // 2
+    with open(path, "w", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["t", "cam_center_x", "cam_center_y", "cmd", "error"])
+        for r in result.trace:
+            writer.writerow([r.t, r.cam_x + half_w, r.cam_y + half_h,
+                             r.command.value, format(r.error, ".9g")])
+
+
+@pytest.mark.parametrize("camera", [4, 5])
+def test_trace_csv_bytes_equal_csv_writer(tmp_path, camera):
+    errors = [
+        0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308,
+        # Values that round at the ninth significant digit, up and down.
+        0.1234567895, 0.12345678949999999, 9.9999999995, 9.9999999994,
+        1.0000000005, 123456789.5, 1234567890.0, 0.00012345678951, 1e-5,
+    ]
+    config = default_config(ControllerKind.RM, 1, steps=1, camera=camera)
+    trace = [
+        StepRecord(t=t, cam_x=t * 37 % 500, cam_y=t * 11 % 500,
+                   command=list(MotorCommand)[t % 5], error=error)
+        for t, error in enumerate(errors)
+    ]
+    # The edge values, a real run's trace, and an empty trace.
+    for name, result in [
+        ("edges", RunResult(config, trace, None, None)),
+        ("run", tiny_run_result(seed=4, steps=40)),
+        ("empty", RunResult(config, [], None, None, valid=False)),
+    ]:
+        fast, reference = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+        write_trace_csv(result, fast)
+        reference_trace_csv(result, reference)
+        assert fast.read_bytes() == reference.read_bytes(), name
 
 
 def test_trace_csv_reports_window_center(tmp_path):

@@ -6,6 +6,7 @@ use small camera windows so each run takes milliseconds.
 
 import dataclasses
 import hashlib
+import random
 import warnings
 
 import numpy as np
@@ -226,6 +227,24 @@ def test_cli_run_loads_the_scene_once(monkeypatch, tmp_path):
             "--seed", "3", "--out", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_OK
     assert loads == [3]
+
+
+def test_cli_compare_loads_each_seeds_scene_once(monkeypatch, tmp_path):
+    from visuomotor import cli
+
+    loads = []
+
+    def counting(config):
+        loads.append(config.master_seed)
+        return load_world(config)
+
+    monkeypatch.setattr(harness, "load_world", counting)
+    monkeypatch.setattr(cli, "load_world", counting)
+    argv = ["compare", "--steps", "5", "--camera", "4", "--hidden", "5",
+            "--seeds", "1,2", "--workers", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    # Once per seed, not once per (controller, seed) cell.
+    assert loads == [1, 2]
 
 
 def test_given_world_matches_loaded_world():
@@ -589,28 +608,56 @@ def test_comparison_overrides_kind_and_seed():
 
 
 def test_comparison_isolates_cell_failures(monkeypatch):
-    real = harness.run_experiment
+    real = harness.choose_action
+    calls = {"n": 0}
 
-    def flaky(config, **kwargs):
-        if config.controller.kind == ControllerKind.MAXPE:
-            raise RuntimeError("boom")
-        return real(config, **kwargs)
+    def raising_choice(kind, history, cfg, rng):
+        if kind == ControllerKind.MAXPE:
+            calls["n"] += 1
+            if calls["n"] == NOISE_BLOCK_STEPS + 3:  # inside the second block
+                raise RuntimeError("boom")
+        return real(kind, history, cfg, rng)
 
-    monkeypatch.setattr(harness, "run_experiment", flaky)
     base = tiny_config(steps=30)
+    solo = run_experiment(dataclasses.replace(base, master_seed=1))
+    monkeypatch.setattr(harness, "choose_action", raising_choice)
     comparison = run_comparison(
         base, [ControllerKind.RM, ControllerKind.MAXPE], [1]
     )
-    assert comparison.results[(ControllerKind.RM, 1)].valid
+    # The RM cell ran in lockstep with the raising one and did not notice.
+    rm = comparison.results[(ControllerKind.RM, 1)]
+    assert rm.valid
+    assert_same_run(rm, solo.trace, solo.elm_state)
     failed = comparison.results[(ControllerKind.MAXPE, 1)]
     assert not failed.valid
+    assert failed.trace == [] and failed.elm_state is None
     assert "boom" in failed.failure
     # The traceback survives and names the function that raised.
     assert "Traceback" in failed.failure
-    assert "in flaky" in failed.failure
+    assert "in raising_choice" in failed.failure
     assert ControllerKind.MAXPE not in comparison.summary
     # Failed cells rank last.
     assert comparison.rankings[1][-1] == ControllerKind.MAXPE
+
+
+def test_run_experiment_raises_what_its_loop_raises(monkeypatch):
+    def raising_choice(kind, history, cfg, rng):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "choose_action", raising_choice)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_experiment(tiny_config(steps=5))
+
+
+def test_comparison_fails_every_cell_of_a_seed_whose_set_up_raises(tmp_path):
+    small = tmp_path / "small.pgm"
+    small.write_bytes(to_pgm_p2(synthetic_image(3, 3, seed=1)))
+    base = tiny_config(steps=5, image_source=str(small))
+    comparison = run_comparison(base, [ControllerKind.RM, ControllerKind.MINPE], [1, 2])
+    for result in comparison.results.values():
+        assert not result.valid and result.trace == []
+        assert result.failure.startswith("ConfigError: 3x3 image is smaller")
+        assert "Traceback" in result.failure
 
 
 def test_comparison_parallel_matches_sequential():
@@ -620,6 +667,80 @@ def test_comparison_parallel_matches_sequential():
     parallel = run_comparison(base, kinds, [1, 2], workers=2)
     for cell, result in sequential.results.items():
         assert parallel.results[cell].trace == result.trace
+
+
+@pytest.fixture(scope="module")
+def small_scene_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scene") / "small.pgm"
+    path.write_bytes(to_pgm_p2(SMALL_SCENE))
+    return str(path)
+
+
+def solo_run(base, kind, seed):
+    return run_experiment(dataclasses.replace(
+        base, master_seed=seed,
+        controller=dataclasses.replace(base.controller, kind=kind),
+    ))
+
+
+@pytest.mark.parametrize("steps", [
+    1, NOISE_BLOCK_STEPS - 1, NOISE_BLOCK_STEPS, NOISE_BLOCK_STEPS + 1,
+    2 * NOISE_BLOCK_STEPS + 3,
+])
+@pytest.mark.parametrize("sigma", [0.0, 0.01])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_lockstep_grid_cells_equal_solo_runs(small_scene_file, workers, sigma, steps):
+    # A fixed draw per case of a subset of the kinds and one to three seeds.
+    pick = random.Random(f"{workers} {sigma} {steps}")
+    kinds = pick.sample(list(ControllerKind), pick.randint(1, 4))
+    seeds = pick.sample(range(1, 100), pick.randint(1, 3))
+    base = dataclasses.replace(
+        wide_config(ControllerKind.RM, steps, sigma), image_source=small_scene_file
+    )
+    comparison = run_comparison(base, kinds, seeds, workers=workers)
+    assert list(comparison.results) == [(k, s) for k in kinds for s in seeds]
+    for (kind, seed), result in comparison.results.items():
+        assert result.valid
+        solo = solo_run(base, kind, seed)
+        assert_same_run(result, solo.trace, solo.elm_state)
+
+
+def test_lockstep_cell_aborting_mid_block_leaves_its_group_unchanged(
+    monkeypatch, small_scene_file
+):
+    steps, abort_at = 2 * NOISE_BLOCK_STEPS + 3, NOISE_BLOCK_STEPS + 2
+    kinds = [ControllerKind.RM, ControllerKind.MINPE, ControllerKind.MAXLP]
+    seeds = [1, 2]
+    base = dataclasses.replace(
+        wide_config(ControllerKind.RM, steps, 0.01), image_source=small_scene_file
+    )
+    solo = {(k, s): solo_run(base, k, s) for k in kinds for s in seeds}
+    short = dataclasses.replace(base, steps=abort_at)
+    aborted = solo_run(short, ControllerKind.MINPE, 2)
+    # One worker runs seed 1's three cells, then seed 2's, one forward pass
+    # of each cell per step: seed 2's MinPE makes forward pass
+    # 3 * steps + 3 * abort_at + 2.
+    nan_forecast_at(monkeypatch, 3 * steps + 3 * abort_at + 1)
+    comparison = run_comparison(base, kinds, seeds, workers=1)
+    for cell, result in comparison.results.items():
+        if cell == (ControllerKind.MINPE, 2):
+            assert not result.valid
+            assert f"step {abort_at}" in result.failure
+            assert_same_run(result, aborted.trace, aborted.elm_state)
+        else:
+            assert result.valid
+            assert_same_run(result, solo[cell].trace, solo[cell].elm_state)
+
+
+def test_lockstep_group_shares_the_hidden_layer_only():
+    base = tiny_config(steps=20)
+    comparison = run_comparison(base, [ControllerKind.RM, ControllerKind.MAXLP], [1])
+    rm, maxlp = (comparison.results[(k, 1)].elm_state
+                 for k in (ControllerKind.RM, ControllerKind.MAXLP))
+    assert rm.hidden_weights is maxlp.hidden_weights
+    assert not rm.hidden_weights.flags.writeable
+    assert not np.shares_memory(rm.readout, maxlp.readout)
+    assert not np.shares_memory(rm.inv_gram, maxlp.inv_gram)
 
 
 def test_comparison_pool_has_at_most_one_worker_per_cell(monkeypatch):
@@ -667,7 +788,8 @@ def test_comparison_requires_nonempty_grid():
 @pytest.mark.parametrize("workers", [0, -3])
 def test_comparison_rejects_fewer_than_one_worker(monkeypatch, workers):
     ran = []
-    monkeypatch.setattr(harness, "run_experiment", ran.append)
+    monkeypatch.setattr(harness, "load_world", ran.append)
+    monkeypatch.setattr(harness, "choose_action", ran.append)
     with pytest.raises(ValueError, match="worker"):
         run_comparison(tiny_config(steps=10), [ControllerKind.RM], [1], workers)
     assert ran == []
