@@ -5,7 +5,9 @@ pure random babbling (RM), replaying the command with the smallest
 recent error (MinPE), the largest recent error (MaxPE), or the largest
 drop in sliding-mean error (MaxLP). The non-random policies share an
 epsilon chance of acting randomly and fall back to a random command
-whenever the history carries no usable signal.
+whenever the history carries no usable signal. RM never reads the
+history, so a run draws its whole command sequence once, up front
+(``random_commands``).
 """
 
 from __future__ import annotations
@@ -97,6 +99,17 @@ def choose_random(rng: np.random.Generator) -> MotorCommand:
     return COMMANDS[int(rng.integers(len(COMMANDS)))]
 
 
+def random_commands(rng: np.random.Generator, steps: int) -> list[MotorCommand]:
+    """``steps`` calls of ``choose_random`` in one draw: the same commands,
+    and the same generator state afterwards.
+
+    numpy draws a bounded integer array and a bounded scalar alike, by
+    Lemire's method on the generator's 32-bit outputs, one after another,
+    so one draw of ``steps`` values yields the values of ``steps`` draws.
+    """
+    return [COMMANDS[i] for i in rng.integers(len(COMMANDS), size=steps).tolist()]
+
+
 def _epsilon_random(
     cfg: ControllerConfig, rng: np.random.Generator
 ) -> MotorCommand | None:
@@ -141,7 +154,16 @@ def choose_maxlp(
     (m + 1)-th record on, and the drop is (e[tau - m] - e[tau]) / m. Before
     that both windows start at the ring's first record, which has no
     em(tau - 1) and is skipped. With no record to score the choice is
-    random. Ties in the computed progress go to the most recent record.
+    random.
+
+    Ties go to the most recent record, but ties of the rounded progress
+    values, not of the real ones. Below ring index m the short-window
+    formula can round progress that is equal in real arithmetic apart, and
+    then an older record may win: four records of error
+    e = 0.4108733470300775 with m = 4 and ``window`` 2 score 0.0 at
+    index 2, but ((e + e + e) / 3 - e) / 4 rounds to -1.4e-17 at index 3,
+    so index 2's command is chosen. Those indices are scored only while
+    the ring fills, in a run's first ``window + em_window`` steps.
     """
     random_pick = _epsilon_random(cfg, rng)
     if random_pick is not None:

@@ -8,6 +8,10 @@ control policy differs between them. They share one draw of each: they
 run in lockstep, one step of each in turn, on one loaded scene, one
 read-only hidden layer and one stream of noise blocks, and each run's
 trace is the same bits as that run's alone.
+
+Random babbling (RM) runs open loop: its commands never read the errors,
+so a run draws them all at its start, and senses each noise block's
+frames in one pass. Only the learning, forecast to log, runs per step.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .controllers import (
     ControllerConfig,
     ControllerKind,
     ErrorHistory,
     choose_action,
+    random_commands,
 )
 from .elm import (
     ElmConfig,
@@ -195,11 +201,12 @@ def run_experiment(
     """Execute one seeded run and return its trace, metrics and model.
 
     Each step observes the current frame, picks a command from the error
-    history, forecasts the next frame for that command, moves, observes
-    the new frame, scores the forecast, and trains the model online on
-    the transition. ``world`` is the scene ``load_world(config)`` returns,
-    for callers that have already loaded it. The run is ``_run_lockstep``
-    on a group of one.
+    history (RM's come from a sequence drawn at the start), forecasts the
+    next frame for that command, moves, observes the new frame, scores
+    the forecast, and trains the model online on the transition.
+    ``world`` is the scene ``load_world(config)`` returns, for callers
+    that have already loaded it. The run is ``_run_lockstep`` on a group
+    of one.
 
     A non-finite prediction error or a numerical failure inside the
     online update aborts the run before the step is trained on or
@@ -212,11 +219,21 @@ def run_experiment(
     return _run_result(config, *_outcome(cell))
 
 
+_BLOCK_STEPS = NOISE_BLOCK_FRAMES // 2  # the steps one noise block serves
+
+
 class _Cell:
     """What a run in a lockstep group does not share with the others: its
-    model, error history, controller stream, camera and trace columns."""
+    model, controller, camera and trace columns.
+
+    A reactive run keeps an error history. A babbling (RM) run keeps none:
+    it keeps its whole command sequence, ``plan``, and the (command,
+    camera, input, target) of each step of the current noise block,
+    ``block``, whose input and target rows live in ``rows``.
+    """
 
     __slots__ = ("kind", "controller", "history", "rng", "state", "left", "top",
+                 "plan", "rows", "inputs", "targets", "block",
                  "cam_x", "cam_y", "errors", "commands", "failure", "exc")
 
     def __init__(self, config: ExperimentConfig, state: ElmState,
@@ -224,10 +241,22 @@ class _Cell:
         controller = config.controller
         self.kind = controller.kind
         self.controller = controller
-        self.history = ErrorHistory(capacity=controller.window + controller.em_window)
         self.rng = rng
         self.state = state
         self.left, self.top = cam.left, cam.top
+        if self.kind is ControllerKind.RM:
+            self.history = None
+            self.plan = random_commands(rng, config.steps)
+            w, h = config.window_w, config.window_h
+            # Row (j, 0) is step j's input, the frame then the velocity;
+            # row (j, 1) holds its target frame.
+            self.rows = np.empty((_BLOCK_STEPS, 2, w * h + 2))
+            self.inputs = list(self.rows[:, 0])
+            self.targets = list(self.rows[:, 1, :-2].reshape(_BLOCK_STEPS, h, w))
+        else:
+            self.history = ErrorHistory(
+                capacity=controller.window + controller.em_window
+            )
         # Step t's camera and error are written at index t; the commands
         # list's length is the number of steps logged.
         self.cam_x = np.empty(config.steps, dtype=np.int64)
@@ -236,6 +265,34 @@ class _Cell:
         self.commands: list[MotorCommand] = []
         self.failure: str | None = None  # why the run aborted
         self.exc: Exception | None = None  # what the run raised
+
+    def fill_block(self, t: int, windows: np.ndarray, noise: np.ndarray | None,
+                   max_left: int, max_top: int) -> None:
+        """Set ``block`` to a babbling run's steps from t to the noise
+        block's end.
+
+        ``windows`` is the scene's (top, left, height, width) window view
+        and ``noise`` the block's noise frames, or None with sigma 0.
+        """
+        commands = self.plan[t : t + _BLOCK_STEPS]
+        count = len(commands)
+        rows = self.rows[:count]
+        lefts, tops, velocities = [self.left], [self.top], []
+        for command in commands:
+            vx, vy = command_to_velocity(command)
+            velocities.append((vx, vy))
+            lefts.append(min(max(lefts[-1] + vx, 0), max_left))
+            tops.append(min(max(tops[-1] + vy, 0), max_top))
+        rows[:, 0, -2:] = velocities
+        # Step j sees the window at position j, then the one at j + 1: the
+        # order of the block's noise frames, and of the rows' frame parts.
+        seen = windows[np.repeat(tops, 2)[1:-1], np.repeat(lefts, 2)[1:-1]]
+        frames = rows.reshape(2 * count, -1)[:, :-2].reshape(seen.shape)
+        if noise is None:
+            frames[...] = seen
+        else:
+            _sense(seen, noise[: 2 * count], frames)
+        self.block = list(zip(commands, lefts[1:], tops[1:], self.inputs, self.targets))
 
 
 def _run_lockstep(
@@ -248,10 +305,11 @@ def _run_lockstep(
     hidden layer (W, b) and the same sensor-noise stream, so the group
     loads the scene once, draws W and b once and shares them read-only,
     and draws each noise block once for all its runs. Each run keeps its
-    own readout and accumulator, error history, controller generator and
-    camera. A run's trace and model are the same bits as those of the run
-    alone, and as those of a loop of the public ``observe``, ``predict``,
-    ``apply_motor``, ``prediction_error`` and ``update_online``:
+    own readout and accumulator, controller generator and camera, and a
+    reactive run its error history. A run's trace and model are the same
+    bits as those of the run alone, and as those of a loop of the public
+    ``observe``, ``predict``, ``apply_motor``, ``prediction_error`` and
+    ``update_online``:
 
     - The frame is sensed straight into the input vector's first part and
       the velocity written into the last two entries, so nothing is
@@ -261,10 +319,19 @@ def _run_lockstep(
       ``observe``'s ``normal(0, sigma)`` computes 0 + sigma z, which is
       sigma z, and one draw of k n values yields the values of k
       consecutive draws of n. With sigma 0 nothing is drawn. The sensed
-      target goes into a scratch buffer, never into the block, which the
-      group's later runs still read.
+      target goes into a scratch buffer, and a babbling run's frames into
+      its own rows, never into the block, which the group's later runs
+      still read.
     - The camera is two ints, clamped as ``apply_motor`` clamps them; the
       check that the window fits the image is made once, up front.
+    - A babbling (RM) run draws its commands at the start, as ``steps``
+      ``choose_random`` calls would (``random_commands``), and keeps no
+      history. At each noise block's start, ``_Cell.fill_block`` clamps
+      the block's path, gathers the windows before and after each move in
+      one index and senses them in one ``_sense``, which is elementwise,
+      so each frame has its own ``_sense``'s bits. A position computed
+      ahead is logged only once its step completes. Every run then learns
+      alike: forecast, score, check, update, log.
     - The hidden response and the forecast are computed once, into one
       ELM ``Workspace``, and serve both the score and the update. The
       residual ``target - forecast`` is computed once: the error is
@@ -316,6 +383,8 @@ def _run_lockstep(
     sigma = first.noise.sigma
     noisy = sigma > 0.0
     noise_block = np.empty((min(NOISE_BLOCK_FRAMES, 2 * steps), h, w))
+    noise = noise_block if noisy else None
+    windows = sliding_window_view(pixels, (h, w))  # read-only
     live = cells
     with saturating():
         for t in range(steps):
@@ -327,31 +396,40 @@ def _run_lockstep(
             ended = False
             for cell in live:
                 try:
-                    left, top = cell.left, cell.top
-                    window = pixels[top : top + h, left : left + w]
-                    if noisy:
-                        _sense(window, noise_block[k], frame)
+                    # Fill the step's input and target rows.
+                    if cell.history is None:
+                        if k == 0:
+                            cell.fill_block(t, windows, noise, max_left, max_top)
+                        command, left, top, row, target = cell.block[k // 2]
                     else:
-                        frame[...] = window
-                    command = choose_action(
-                        cell.kind, cell.history, cell.controller, cell.rng
-                    )
-                    vx, vy = command_to_velocity(command)
-                    x[n] = vx
-                    x[n + 1] = vy
-                    forward_into(cell.state, x, work)
-                    left = min(max(left + vx, 0), max_left)
-                    top = min(max(top + vy, 0), max_top)
-                    target = pixels[top : top + h, left : left + w]
-                    if noisy:
-                        _sense(target, noise_block[k + 1], sensed)
-                        target = sensed
+                        left, top = cell.left, cell.top
+                        window = pixels[top : top + h, left : left + w]
+                        if noisy:
+                            _sense(window, noise_block[k], frame)
+                        else:
+                            frame[...] = window
+                        command = choose_action(
+                            cell.kind, cell.history, cell.controller, cell.rng
+                        )
+                        vx, vy = command_to_velocity(command)
+                        x[n] = vx
+                        x[n + 1] = vy
+                        left = min(max(left + vx, 0), max_left)
+                        top = min(max(top + vy, 0), max_top)
+                        target = pixels[top : top + h, left : left + w]
+                        if noisy:
+                            _sense(target, noise_block[k + 1], sensed)
+                            target = sensed
+                        row = x
+                    # Learn from them, the same for every controller.
+                    forward_into(cell.state, row, work)
                     np.subtract(target, forecast, out=residual_2d)
                     error = float(residual @ residual) / n
                     if not math.isfinite(error):
                         raise NumericError(f"prediction error is {error!r} at step {t}")
                     rls_update(cell.state, work, residual)
-                    cell.history.append(t, command, error)
+                    if cell.history is not None:
+                        cell.history.append(t, command, error)
                 except NumericError as exc:
                     cell.failure = str(exc)
                     ended = True
@@ -418,9 +496,10 @@ def compute_metrics(trace: list[StepRecord]) -> Metrics:
     ys = [r.cam_y for r in trace]
     unique_positions = len(set(zip(xs, ys)))
     bbox_area = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
-    histogram = {cmd: 0 for cmd in MotorCommand}
-    for record in trace:
-        histogram[record.command] += 1
+    # list.count compares by identity first, in C; a dict update per
+    # record would hash each command in Python.
+    commands = [r.command for r in trace]
+    histogram = {cmd: commands.count(cmd) for cmd in MotorCommand}
     cumulative = np.concatenate([[0.0], np.cumsum(errors)])
     idx = np.arange(len(errors))
     lo = np.maximum(0, idx - (ERROR_CURVE_WINDOW - 1))

@@ -144,7 +144,8 @@ NOISE_BLOCK_FRAMES = 32
 
 def _sense(window: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
     """Write ``noise + window``, clamped to [0, 1], into ``out``; all three
-    have the window's (height, width) shape, and ``out`` may be ``noise``.
+    have one shape, a window's (height, width) or a stack of windows, and
+    ``out`` may be ``noise``. Every element is its own sum and clamp.
 
     IEEE addition commutes, so each sum rounds as ``window + noise`` does.
     ``maximum`` then ``minimum`` clamp as ``np.clip`` does, with less call

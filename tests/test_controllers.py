@@ -21,6 +21,7 @@ from visuomotor.controllers import (
     choose_maxlp,
     choose_pe,
     choose_random,
+    random_commands,
 )
 from visuomotor.errors import ConfigError
 from visuomotor.world import COMMANDS, MotorCommand
@@ -91,6 +92,22 @@ def test_choose_random_is_seeded():
 
 def test_choose_random_returns_valid_command():
     assert choose_random(np.random.default_rng(0)) in COMMANDS
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 17, 5000])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 2**63 + 11])
+@pytest.mark.parametrize("drawn_before", [0, 1])
+def test_random_commands_equal_choose_random_calls(drawn_before, seed, steps):
+    # Guards numpy's bounded fill against drifting from its scalar path.
+    bulk_rng, step_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    # One earlier draw leaves half of a 64-bit output buffered.
+    for _ in range(drawn_before):
+        bulk_rng.integers(5)
+        step_rng.integers(5)
+    assert (bulk_rng.bit_generator.state["has_uint32"] == 1) == bool(drawn_before)
+    bulk = random_commands(bulk_rng, steps)
+    assert bulk == [choose_random(step_rng) for _ in range(steps)]
+    assert bulk_rng.bit_generator.state == step_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Full-scale behaviour is covered by the acceptance suite; these tests
 use small camera windows so each run takes milliseconds.
 """
 
+import collections
 import dataclasses
 import hashlib
 import random
@@ -34,6 +35,7 @@ from visuomotor.elm import (
     update_online,
 )
 from visuomotor.world import (
+    COMMANDS,
     NOISE_BLOCK_FRAMES,
     MotorCommand,
     NoiseModel,
@@ -84,7 +86,7 @@ def test_different_master_seeds_differ():
 
 def test_forced_stay_noise_free_error_collapses(monkeypatch):
     monkeypatch.setattr(harness, "choose_action", lambda *args: MotorCommand.STAY)
-    config = tiny_config(seed=3, steps=60, sigma=0.0)
+    config = tiny_config(kind=ControllerKind.MINPE, seed=3, steps=60, sigma=0.0)
     result = run_experiment(config)
     errors = [r.error for r in result.trace]
     below = [i for i, e in enumerate(errors) if e < 1e-6]
@@ -353,7 +355,7 @@ def assert_same_run(result, trace, state):
 
 @pytest.mark.parametrize("steps", [
     1, NOISE_BLOCK_STEPS - 1, NOISE_BLOCK_STEPS, NOISE_BLOCK_STEPS + 1,
-    2 * NOISE_BLOCK_STEPS + 3,
+    2 * NOISE_BLOCK_STEPS + 3, 5 * NOISE_BLOCK_STEPS + 3,
 ])
 @pytest.mark.parametrize("sigma", [0.01, 0.0])
 @pytest.mark.parametrize("kind", list(ControllerKind))
@@ -365,19 +367,42 @@ def test_run_matches_loop_of_public_functions(kind, sigma, steps):
 
 
 def test_small_scene_makes_moves_hit_the_border():
-    config = wide_config(ControllerKind.RM, 2 * NOISE_BLOCK_STEPS + 3, 0.01)
-    trace, _ = reference_run(config, SMALL_SCENE)
-    start = initial_camera(SMALL_SCENE, config)
-    positions = [(start.left, start.top)] + [(r.cam_x, r.cam_y) for r in trace]
-    blocked = [
-        r for r, before in zip(trace, positions)
-        if r.command is not MotorCommand.STAY and (r.cam_x, r.cam_y) == before
-    ]
-    assert blocked
+    # RM fills a noise block's rows ahead, clamping the block's whole path
+    # at its start, so the runs above must see the border stop a move
+    # inside a block, not only at a block's first step.
+    for steps in (2 * NOISE_BLOCK_STEPS + 3, 5 * NOISE_BLOCK_STEPS + 3):
+        config = wide_config(ControllerKind.RM, steps, 0.01)
+        trace, _ = reference_run(config, SMALL_SCENE)
+        start = initial_camera(SMALL_SCENE, config)
+        positions = [(start.left, start.top)] + [(r.cam_x, r.cam_y) for r in trace]
+        blocked = [
+            r.t for r, before in zip(trace, positions)
+            if r.command is not MotorCommand.STAY and (r.cam_x, r.cam_y) == before
+        ]
+        assert any(t % NOISE_BLOCK_STEPS for t in blocked)
 
 
-@pytest.mark.parametrize("failure", ["nan_forecast", "rls_update"])
-def test_abort_inside_a_noise_block_returns_reference_prefix(monkeypatch, failure):
+def test_babbling_runs_never_call_choose_action(monkeypatch):
+    calls = []
+    real = harness.choose_action
+
+    def spy(kind, history, cfg, rng):
+        calls.append(kind)
+        return real(kind, history, cfg, rng)
+
+    monkeypatch.setattr(harness, "choose_action", spy)
+    assert run_experiment(tiny_config(steps=40)).valid
+    assert calls == []
+    kinds = [ControllerKind.RM, ControllerKind.MINPE]
+    run_comparison(tiny_config(steps=40), kinds, [1])
+    assert calls == [ControllerKind.MINPE] * 40
+
+
+@pytest.mark.parametrize("failure, kind", [
+    ("nan_forecast", ControllerKind.MAXLP), ("rls_update", ControllerKind.MAXLP),
+    ("nan_forecast", ControllerKind.RM), ("rls_update", ControllerKind.RM),
+], ids=["nan_forecast", "rls_update", "rm-nan_forecast", "rm-rls_update"])
+def test_abort_inside_a_noise_block_returns_reference_prefix(monkeypatch, failure, kind):
     abort_at = NOISE_BLOCK_STEPS + 2  # the third step of the second block
     if failure == "nan_forecast":
         nan_forecast_at(monkeypatch, abort_at)
@@ -392,7 +417,7 @@ def test_abort_inside_a_noise_block_returns_reference_prefix(monkeypatch, failur
             real(state, work, residual)
 
         monkeypatch.setattr(harness, "rls_update", failing)
-    config = wide_config(ControllerKind.MAXLP, 2 * NOISE_BLOCK_STEPS + 3, 0.01)
+    config = wide_config(kind, 2 * NOISE_BLOCK_STEPS + 3, 0.01)
     result = run_experiment(config, world=SMALL_SCENE)
     assert not result.valid
     assert len(result.trace) == abort_at
@@ -556,6 +581,19 @@ def test_metrics_histogram_sums_to_steps():
     assert set(histogram) == set(MotorCommand)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_metrics_histogram_matches_counter(seed):
+    rng = np.random.default_rng(seed)
+    # Some traces leave some commands out.
+    present = rng.choice(len(COMMANDS), size=rng.integers(1, 6), replace=False)
+    commands = [COMMANDS[i] for i in rng.choice(present, size=rng.integers(1, 400))]
+    trace = [record(t, 0, 0, cmd) for t, cmd in enumerate(commands)]
+    counts = collections.Counter(commands)
+    histogram = compute_metrics(trace).action_histogram
+    assert list(histogram) == list(MotorCommand)
+    assert histogram == {cmd: counts[cmd] for cmd in MotorCommand}
+
+
 def test_metrics_mean_error_curve_matches_direct_average():
     rng = np.random.default_rng(3)
     errors = rng.uniform(0, 1, 250)
@@ -646,7 +684,7 @@ def test_run_experiment_raises_what_its_loop_raises(monkeypatch):
 
     monkeypatch.setattr(harness, "choose_action", raising_choice)
     with pytest.raises(RuntimeError, match="boom"):
-        run_experiment(tiny_config(steps=5))
+        run_experiment(tiny_config(kind=ControllerKind.MINPE, steps=5))
 
 
 def test_comparison_fails_every_cell_of_a_seed_whose_set_up_raises(tmp_path):
@@ -791,7 +829,7 @@ def test_comparison_rejects_fewer_than_one_worker(monkeypatch, workers):
     monkeypatch.setattr(harness, "load_world", ran.append)
     monkeypatch.setattr(harness, "choose_action", ran.append)
     with pytest.raises(ValueError, match="worker"):
-        run_comparison(tiny_config(steps=10), [ControllerKind.RM], [1], workers)
+        run_comparison(tiny_config(steps=10), [ControllerKind.MINPE], [1], workers)
     assert ran == []
 
 
