@@ -123,10 +123,11 @@ def write_trace_csv(result: RunResult, path: str | Path) -> None:
     """
     half_w = result.config.window_w // 2
     half_h = result.config.window_h // 2
-    rows = "".join(
-        f"{r.t},{r.cam_x + half_w},{r.cam_y + half_h},{r.command.value},{r.error:.9g}\n"
-        for r in result.trace
-    )
+    # "%.9g" % e formats as format(e, ".9g") does, and "%d" as str does.
+    rows = "".join([
+        "%d,%d,%d,%s,%.9g\n" % (t, x + half_w, y + half_h, command.value, error)
+        for t, x, y, command, error in result.trace
+    ])
     with open(path, "w", newline="\n") as handle:
         handle.write("t,cam_center_x,cam_center_y,cmd,error\n")
         handle.write(rows)

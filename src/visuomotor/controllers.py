@@ -99,15 +99,16 @@ def choose_random(rng: np.random.Generator) -> MotorCommand:
     return COMMANDS[int(rng.integers(len(COMMANDS)))]
 
 
-def random_commands(rng: np.random.Generator, steps: int) -> list[MotorCommand]:
-    """``steps`` calls of ``choose_random`` in one draw: the same commands,
-    and the same generator state afterwards.
+def random_commands(rng: np.random.Generator, steps: int) -> np.ndarray:
+    """``steps`` calls of ``choose_random`` in one draw: the codes of the
+    same commands (command i is ``COMMANDS[i]``), and the same generator
+    state afterwards.
 
     numpy draws a bounded integer array and a bounded scalar alike, by
     Lemire's method on the generator's 32-bit outputs, one after another,
     so one draw of ``steps`` values yields the values of ``steps`` draws.
     """
-    return [COMMANDS[i] for i in rng.integers(len(COMMANDS), size=steps).tolist()]
+    return rng.integers(len(COMMANDS), size=steps)
 
 
 def _epsilon_random(

@@ -1,31 +1,35 @@
 """Extreme learning machine: a single hidden layer with fixed random
 weights and a linear readout.
 
-The readout is solved either in one shot from the Moore-Penrose
-pseudo-inverse of the hidden-layer matrix (``fit_batch``) or kept up to
-date sample by sample with recursive least squares (``update_online``,
-after OS-ELM: Liang et al. 2006, IEEE TNN). On well-conditioned hidden
-layers the two routes reach the same minimum-norm least-squares readout
-as the regularisation scale goes to zero. At the default scale of the
-closed-loop experiment the hidden layer is badly conditioned (many
-saturated units, some constant): there the two readouts agree on their
-predictions but not on their parameters, which can differ by about 100%.
+The readout is kept up to date sample by sample with recursive least
+squares (``update_online``, after OS-ELM: Liang et al. 2006, IEEE TNN).
+On well-conditioned hidden layers it tracks the minimum-norm
+least-squares readout over all samples seen as the regularisation scale
+goes to zero. At the default scale of the closed-loop experiment the
+hidden layer is badly conditioned (many saturated units, some constant):
+there the two readouts agree on their predictions but not on their
+parameters, which can differ by about 100%.
 
-Two in-place kernels do the arithmetic: ``forward_into`` writes the hidden
-response and the forecast, and ``rls_update`` folds one residual into the
-readout and the accumulator. Both write only into a ``Workspace``, the
-buffers of one network shape, and into the state, so the closed loop
-allocates that workspace once per run and its steps allocate no array
-data. Each kernel performs the same operations, in the same order, as the
-expressions with fresh arrays they replace: a product written through
-``out=`` runs the same BLAS kernel, and an elementwise step rounds the
-same wherever it writes. Their results are therefore the same bits (the
-kernels' comments give the details). The kernels check nothing and leave
-floating-point error handling to the caller: the logistic's ``exp``
-overflows for inputs below about -709, which saturates the unit cleanly
-at 0, and callers hold ``saturating()`` around them once rather than
-once per call. ``forward``, ``predict`` and ``update_online`` are the
-checked, pure entries over the same kernels.
+In-place kernels do the arithmetic: ``hidden_into`` writes the hidden
+responses to one input or to a stack of inputs, ``forecast_into`` the
+forecast from a response, ``forward_into`` both for one input, and
+``rls_update`` folds one residual into the readout and the accumulator.
+They write only into their ``out`` arrays, a ``Workspace`` (the buffers
+of one network shape) and the state, so the closed loop allocates its
+buffers once per run and its steps allocate no array data. Each kernel
+performs the same operations, in the same order, as the expressions with
+fresh arrays they replace: a product written through ``out=`` runs the
+same BLAS kernel, ``np.dot`` of a matrix and a vector or of two vectors
+runs the gemv or dot that ``matmul`` runs, and an elementwise step rounds
+the same wherever it writes. ``hidden_into`` on a stack runs one gemv per
+input, the call it makes for that input alone. Their results are
+therefore the same bits (the kernels' docstrings and comments give the
+details; ``tests/test_elm.py`` checks each assumption). The kernels check
+nothing and leave floating-point error handling to the caller: the
+logistic's ``exp`` overflows for inputs below about -709, which saturates
+the unit cleanly at 0, and callers hold ``saturating()`` around them once
+rather than once per call. ``forward``, ``predict`` and ``update_online``
+are the checked, pure entries over the same kernels.
 
 ``save_model`` writes the whole learner state, accumulator and activation
 included, as an ``ELM2`` file; training resumes from ``load_model(path)``
@@ -38,7 +42,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -189,18 +193,42 @@ class Workspace:
         self.ph_row = self.ph[None, :]
 
 
+def hidden_into(state: ElmState, x: np.ndarray, out: np.ndarray) -> None:
+    """Write h = g(Wx + b) into ``out``: for one input, ``x`` of length
+    ``input_dim`` and ``out`` of length ``hidden_count``; for a stack of
+    inputs, ``x`` (k, ``input_dim``) and ``out`` (k, ``hidden_count``), one
+    response per row. The rows of ``x`` may lie apart in memory, but each
+    row, and ``out``, must be contiguous.
+
+    This is the one hidden-layer code path. ``matmul`` treats each input
+    as an (``input_dim``, 1) matrix and runs one BLAS gemv per stack item,
+    with the arguments ``W @ x`` passes for one input, so every response is
+    the same bits whether computed alone or in a stack. (``np.dot`` on a
+    stack would run one gemm, which may round differently.) The bias and
+    the activation are elementwise, on contiguous data either way. Run it
+    under ``saturating()``.
+    """
+    np.matmul(state.hidden_weights, x[..., None], out=out[..., None])
+    out += state.hidden_bias
+    ACTIVATIONS[state.activation](out)
+
+
+def forecast_into(state: ElmState, h: np.ndarray, out: np.ndarray) -> None:
+    """Write the forecast ``readout @ h`` into ``out``.
+
+    ``np.dot`` of a matrix and a vector is the BLAS gemv that ``matmul``
+    runs, with the same arguments, so the values equal ``readout @ h``; it
+    costs less per call than the ``matmul`` ufunc.
+    """
+    np.dot(state.readout, h, out=out)
+
+
 def forward_into(state: ElmState, x: np.ndarray, work: Workspace) -> None:
     """Write h = g(Wx + b) into ``work.h`` and ``readout @ h`` into
     ``work.forecast``; ``x`` is a float64 vector of length ``input_dim``.
-
-    ``matmul`` with ``out=`` runs the same BLAS product as ``@``, and the
-    bias and the activation are elementwise, so the values equal the
-    expression's. Run it under ``saturating()``.
-    """
-    np.matmul(state.hidden_weights, x, out=work.h)
-    work.h += state.hidden_bias
-    ACTIVATIONS[state.activation](work.h)
-    np.matmul(state.readout, work.h, out=work.forecast)
+    Run it under ``saturating()``."""
+    hidden_into(state, x, work.h)
+    forecast_into(state, work.h, work.forecast)
 
 
 def _checked_input(state: ElmState, x: np.ndarray) -> np.ndarray:
@@ -242,71 +270,6 @@ def predict(state: ElmState, frame: np.ndarray, velocity: np.ndarray) -> np.ndar
     return forward(state, np.concatenate([frame, velocity]))[1]
 
 
-def pseudo_inverse(matrix: np.ndarray, tolerance: float = 0.0) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via singular value decomposition.
-
-    Parameters
-    ----------
-    matrix : 2-D array
-        Input matrix; all entries must be finite.
-    tolerance : float
-        Singular values below this absolute threshold are treated as
-        zero. Pass 0 to use the conventional default
-        ``max(rows, cols) * machine_epsilon * largest_singular_value``.
-
-    Returns
-    -------
-    2-D array satisfying the four Penrose conditions.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise NumericError("matrix has non-finite entries")
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    if tolerance == 0.0:
-        tolerance = max(a.shape) * np.finfo(float).eps * s[0]
-    inv_s = np.zeros_like(s)
-    keep = s >= tolerance
-    inv_s[keep] = 1.0 / s[keep]
-    return (vt.T * inv_s) @ u.T
-
-
-def fit_batch(
-    state: ElmState, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> ElmState:
-    """Solve the readout over all pairs at once.
-
-    Builds the hidden-layer matrix H with one column per sample and sets
-    the readout to ``Y @ pinv(H)``, the minimum-norm least-squares
-    solution of ``readout @ H = Y``. Hidden weights, bias and the online
-    accumulator are untouched.
-    """
-    if len(pairs) == 0:
-        raise ValueError("fit_batch requires at least one training pair")
-    xs = np.column_stack([np.asarray(x, dtype=float) for x, _ in pairs])
-    ys = np.column_stack([np.asarray(y, dtype=float) for _, y in pairs])
-    if xs.shape[0] != state.input_dim:
-        raise DimensionError(
-            f"training inputs have length {xs.shape[0]}, "
-            f"expected {state.input_dim}"
-        )
-    if ys.shape[0] != state.output_dim:
-        raise DimensionError(
-            f"training targets have length {ys.shape[0]}, "
-            f"expected {state.output_dim}"
-        )
-    h = state.hidden_weights @ xs + state.hidden_bias[:, None]
-    with saturating():
-        ACTIVATIONS[state.activation](h)
-    readout = ys @ pseudo_inverse(h)
-    return replace(state, readout=readout, samples_seen=len(pairs))
-
-
 def update_online(
     state: ElmState, pair: tuple[np.ndarray, np.ndarray]
 ) -> ElmState:
@@ -329,20 +292,28 @@ def update_online(
     return updated
 
 
-def rls_update(state: ElmState, work: Workspace, residual: np.ndarray) -> None:
+def rls_update(
+    state: ElmState, work: Workspace, residual: np.ndarray, h: np.ndarray | None = None
+) -> None:
     """Fold one sample into ``state`` in place with recursive least squares.
 
-    ``work`` holds ``forward_into``'s hidden response h for the sample's
-    input on this state, and ``residual`` is the sample's target minus
-    that forecast. With P the inverse-Gram accumulator:
-    ``k = P h / (1 + h' P h)``, ``readout += residual k'`` and
-    ``P -= (P h)(P h)' / (1 + h' P h)``. P stays exactly symmetric, bit
-    for bit, if it starts so. A denominator that is not finite and
-    positive raises ``NumericError`` before the state is changed.
+    ``h`` is the hidden response to the sample's input, ``work.h`` (where
+    ``forward_into`` writes it) when not given, and ``residual`` is the
+    sample's target minus the forecast ``readout @ h``. ``h`` is only
+    read, so a row of a stack of responses serves without a copy. With P
+    the inverse-Gram accumulator: ``k = P h / (1 + h' P h)``,
+    ``readout += residual k'`` and ``P -= (P h)(P h)' / (1 + h' P h)``.
+    P stays exactly symmetric, bit for bit, if it starts so. A
+    denominator that is not finite and positive raises ``NumericError``
+    before the state is changed.
     """
-    h, ph = work.h, work.ph
-    np.matmul(state.inv_gram, h, out=ph)
-    denom = 1.0 + h @ ph
+    if h is None:
+        h = work.h
+    ph = work.ph
+    # np.dot runs the BLAS gemv and dot that matmul does for these
+    # operands, so the values are the same, at less cost per call.
+    np.dot(state.inv_gram, h, out=ph)
+    denom = 1.0 + np.dot(h, ph)
     if not math.isfinite(denom) or denom <= 0.0:
         raise NumericError(
             f"recursive update denominator is {denom!r}; accumulator degenerate"

@@ -10,8 +10,12 @@ read-only hidden layer and one stream of noise blocks, and each run's
 trace is the same bits as that run's alone.
 
 Random babbling (RM) runs open loop: its commands never read the errors,
-so a run draws them all at its start, and senses each noise block's
-frames in one pass. Only the learning, forecast to log, runs per step.
+so a run draws them all and clamps its whole camera path at its start.
+For each noise block it then senses the block's frames in one pass and
+computes their hidden responses in one stacked product, which runs one
+BLAS gemv per input, the call one input alone gets, so each response is
+the same bits. Only the learning runs per step: forecast, score, check,
+update, log.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,13 +42,15 @@ from .elm import (
     ElmConfig,
     ElmState,
     Workspace,
-    forward_into,
+    forecast_into,
+    hidden_into,
     init_elm,
     rls_update,
     saturating,
 )
 from .errors import ConfigError, NumericError
 from .world import (
+    COMMANDS,
     NOISE_BLOCK_FRAMES,
     CameraState,
     MotorCommand,
@@ -133,8 +140,7 @@ def default_config(
     )
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One step of a run: where the camera ended up, what was done, and
     the error of the forecast scored against the frame seen there."""
 
@@ -220,79 +226,127 @@ def run_experiment(
 
 
 _BLOCK_STEPS = NOISE_BLOCK_FRAMES // 2  # the steps one noise block serves
+# Row i is the (vx, vy) of command code i, the command COMMANDS[i].
+_VELOCITY_ROWS = np.array([command_to_velocity(c) for c in COMMANDS])
+
+
+# A stretch of the walk shorter than this is cheaper one move at a time.
+_MIN_STRETCH = 16
+
+
+def _clamped_walk(start: int, moves: np.ndarray, upper: int) -> np.ndarray:
+    """``start`` and the position after each of ``moves`` (each -1, 0 or 1),
+    clamped to [0, ``upper``] as ``apply_motor`` clamps a camera.
+
+    From a position ``room`` away from the nearer bound, the next ``room``
+    moves cannot reach past it, so they need no clamp and take a
+    cumulative sum; near a bound the walk goes one clamped move at a time.
+    """
+    path = np.empty(len(moves) + 1, dtype=np.int64)
+    path[0] = pos = start
+    step = moves.tolist()
+    i = 0
+    while i < len(step):
+        room = min(pos, upper - pos, len(step) - i)
+        if room >= _MIN_STRETCH:
+            stretch = path[i + 1 : i + 1 + room]
+            np.cumsum(moves[i : i + room], out=stretch)
+            stretch += pos
+            i += room
+            pos = int(path[i])
+        else:
+            pos = min(max(pos + step[i], 0), upper)
+            i += 1
+            path[i] = pos
+    return path
 
 
 class _Cell:
     """What a run in a lockstep group does not share with the others: its
     model, controller, camera and trace columns.
 
-    A reactive run keeps an error history. A babbling (RM) run keeps none:
-    it keeps its whole command sequence, ``plan``, and the (command,
-    camera, input, target) of each step of the current noise block,
-    ``block``, whose input and target rows live in ``rows``.
+    A reactive run keeps an error history and logs its camera and command
+    as each step completes. A babbling (RM) run keeps none: it draws its
+    command codes and clamps its whole path when it is built, so its
+    ``commands`` and its ``cam_x``/``cam_y`` columns are complete from the
+    start and only ``done`` steps of them count. For each noise block,
+    ``fill_block`` writes the block's input and target rows into ``rows``
+    and their hidden responses into ``hidden``.
     """
 
     __slots__ = ("kind", "controller", "history", "rng", "state", "left", "top",
-                 "plan", "rows", "inputs", "targets", "block",
-                 "cam_x", "cam_y", "errors", "commands", "failure", "exc")
+                 "codes", "frame_lefts", "frame_tops", "rows", "frames",
+                 "hidden", "hiddens", "targets",
+                 "cam_x", "cam_y", "errors", "commands", "done", "failure", "exc")
 
     def __init__(self, config: ExperimentConfig, state: ElmState,
-                 rng: np.random.Generator, cam: CameraState):
+                 rng: np.random.Generator, cam: CameraState,
+                 max_left: int, max_top: int):
         controller = config.controller
+        steps = config.steps
         self.kind = controller.kind
         self.controller = controller
         self.rng = rng
         self.state = state
-        self.left, self.top = cam.left, cam.top
         if self.kind is ControllerKind.RM:
             self.history = None
-            self.plan = random_commands(rng, config.steps)
+            self.codes = random_commands(rng, steps)
+            self.commands = [COMMANDS[i] for i in self.codes.tolist()]
+            velocities = _VELOCITY_ROWS[self.codes]
+            lefts = _clamped_walk(cam.left, velocities[:, 0], max_left)
+            tops = _clamped_walk(cam.top, velocities[:, 1], max_top)
+            # Step t senses frame 2t at its start and frame 2t + 1 after
+            # its move: the order of the noise frames.
+            self.frame_lefts = np.repeat(lefts, 2)[1:-1]
+            self.frame_tops = np.repeat(tops, 2)[1:-1]
+            self.cam_x = self.frame_lefts[1::2]
+            self.cam_y = self.frame_tops[1::2]
             w, h = config.window_w, config.window_h
             # Row (j, 0) is step j's input, the frame then the velocity;
             # row (j, 1) holds its target frame.
             self.rows = np.empty((_BLOCK_STEPS, 2, w * h + 2))
-            self.inputs = list(self.rows[:, 0])
-            self.targets = list(self.rows[:, 1, :-2].reshape(_BLOCK_STEPS, h, w))
+            self.frames = self.rows.reshape(NOISE_BLOCK_FRAMES, -1)[:, :-2].reshape(
+                NOISE_BLOCK_FRAMES, h, w
+            )
+            self.hidden = np.empty((_BLOCK_STEPS, state.hidden_count))
+            self.hiddens = list(self.hidden)
+            self.targets = list(self.frames[1::2])
         else:
             self.history = ErrorHistory(
                 capacity=controller.window + controller.em_window
             )
-        # Step t's camera and error are written at index t; the commands
-        # list's length is the number of steps logged.
-        self.cam_x = np.empty(config.steps, dtype=np.int64)
-        self.cam_y = np.empty(config.steps, dtype=np.int64)
-        self.errors = np.empty(config.steps)
-        self.commands: list[MotorCommand] = []
+            self.left, self.top = cam.left, cam.top
+            # Step t's camera is written at index t, and its command appended.
+            self.cam_x = np.empty(steps, dtype=np.int64)
+            self.cam_y = np.empty(steps, dtype=np.int64)
+            self.commands: list[MotorCommand] = []
+        self.errors = np.empty(steps)  # step t's error, at index t
+        self.done = steps  # the steps logged, once the run is over
         self.failure: str | None = None  # why the run aborted
         self.exc: Exception | None = None  # what the run raised
 
-    def fill_block(self, t: int, windows: np.ndarray, noise: np.ndarray | None,
-                   max_left: int, max_top: int) -> None:
-        """Set ``block`` to a babbling run's steps from t to the noise
-        block's end.
+    def fill_block(self, t: int, windows: np.ndarray, noise: np.ndarray | None) -> None:
+        """Fill ``rows`` and ``hidden`` for a babbling run's steps from t to
+        the noise block's end.
 
         ``windows`` is the scene's (top, left, height, width) window view
-        and ``noise`` the block's noise frames, or None with sigma 0.
+        and ``noise`` the block's noise frames, or None with sigma 0. The
+        block's frames are gathered in one index and sensed in one
+        ``_sense``, which is elementwise, so each frame has the bits of its
+        own ``_sense``. The hidden responses of the block's inputs come
+        from one ``hidden_into`` on the stack of input rows.
         """
-        commands = self.plan[t : t + _BLOCK_STEPS]
-        count = len(commands)
+        block = slice(2 * t, 2 * t + NOISE_BLOCK_FRAMES)
+        seen = windows[self.frame_tops[block], self.frame_lefts[block]]
+        count = len(seen) // 2
         rows = self.rows[:count]
-        lefts, tops, velocities = [self.left], [self.top], []
-        for command in commands:
-            vx, vy = command_to_velocity(command)
-            velocities.append((vx, vy))
-            lefts.append(min(max(lefts[-1] + vx, 0), max_left))
-            tops.append(min(max(tops[-1] + vy, 0), max_top))
-        rows[:, 0, -2:] = velocities
-        # Step j sees the window at position j, then the one at j + 1: the
-        # order of the block's noise frames, and of the rows' frame parts.
-        seen = windows[np.repeat(tops, 2)[1:-1], np.repeat(lefts, 2)[1:-1]]
-        frames = rows.reshape(2 * count, -1)[:, :-2].reshape(seen.shape)
+        rows[:, 0, -2:] = _VELOCITY_ROWS[self.codes[t : t + count]]
+        frames = self.frames[: 2 * count]
         if noise is None:
             frames[...] = seen
         else:
             _sense(seen, noise[: 2 * count], frames)
-        self.block = list(zip(commands, lefts[1:], tops[1:], self.inputs, self.targets))
+        hidden_into(self.state, rows[:, 0], self.hidden[:count])
 
 
 def _run_lockstep(
@@ -324,20 +378,27 @@ def _run_lockstep(
       still read.
     - The camera is two ints, clamped as ``apply_motor`` clamps them; the
       check that the window fits the image is made once, up front.
-    - A babbling (RM) run draws its commands at the start, as ``steps``
-      ``choose_random`` calls would (``random_commands``), and keeps no
-      history. At each noise block's start, ``_Cell.fill_block`` clamps
-      the block's path, gathers the windows before and after each move in
-      one index and senses them in one ``_sense``, which is elementwise,
-      so each frame has its own ``_sense``'s bits. A position computed
-      ahead is logged only once its step completes. Every run then learns
-      alike: forecast, score, check, update, log.
-    - The hidden response and the forecast are computed once, into one
-      ELM ``Workspace``, and serve both the score and the update. The
-      residual ``target - forecast`` is computed once: the error is
-      ``r @ r / n``, equal to ``prediction_error`` because negation is
-      exact, and ``rls_update`` trains on it in place. Each run's step
-      has finished with the shared buffers before the next run's starts.
+    - A babbling (RM) run draws its command codes at the start, as
+      ``steps`` ``choose_random`` calls would (``random_commands``), keeps
+      no history, and clamps its whole path once, as the steps would
+      (``_clamped_walk``). At each noise block's start,
+      ``_Cell.fill_block`` gathers the windows before and after each of
+      the block's moves in one index, senses them in one ``_sense``, which
+      is elementwise, so each frame has its own ``_sense``'s bits, and
+      computes the block's hidden responses in one ``hidden_into`` on the
+      stack of input rows: ``matmul`` runs one BLAS gemv per row, with the
+      arguments it passes for one input, and the bias and the activation
+      are elementwise, so each response is the bits of that step's own.
+      A position or command known ahead counts only once its step
+      completes.
+    - Every run then learns alike, from a hidden response: the forecast,
+      the score and the update share it. A reactive run computes it per
+      step into the ELM ``Workspace``; a babbling run reads its row of the
+      block's responses, uncopied. The residual ``target - forecast`` is
+      computed once: the error is ``r . r / n``, equal to
+      ``prediction_error`` because negation is exact, and ``rls_update``
+      trains on it in place. Each run's step has finished with the shared
+      buffers before the next run's starts.
     - The floating-point context of the ELM kernels is entered once per
       group.
 
@@ -367,7 +428,7 @@ def _run_lockstep(
         for _ in configs[1:]
     ]
     cells = [
-        _Cell(config, s, np.random.default_rng(controller_seed), cam)
+        _Cell(config, s, np.random.default_rng(controller_seed), cam, max_left, max_top)
         for config, s in zip(configs, states)
     ]
 
@@ -396,11 +457,12 @@ def _run_lockstep(
             ended = False
             for cell in live:
                 try:
-                    # Fill the step's input and target rows.
+                    # The step's hidden response and target frame.
                     if cell.history is None:
                         if k == 0:
-                            cell.fill_block(t, windows, noise, max_left, max_top)
-                        command, left, top, row, target = cell.block[k // 2]
+                            cell.fill_block(t, windows, noise)
+                        hidden = cell.hiddens[k // 2]
+                        target = cell.targets[k // 2]
                     else:
                         left, top = cell.left, cell.top
                         window = pixels[top : top + h, left : left + w]
@@ -420,28 +482,31 @@ def _run_lockstep(
                         if noisy:
                             _sense(target, noise_block[k + 1], sensed)
                             target = sensed
-                        row = x
+                        hidden = work.h
+                        hidden_into(cell.state, x, hidden)
                     # Learn from them, the same for every controller.
-                    forward_into(cell.state, row, work)
+                    forecast_into(cell.state, hidden, work.forecast)
                     np.subtract(target, forecast, out=residual_2d)
-                    error = float(residual @ residual) / n
+                    error = float(np.dot(residual, residual)) / n
                     if not math.isfinite(error):
                         raise NumericError(f"prediction error is {error!r} at step {t}")
-                    rls_update(cell.state, work, residual)
+                    rls_update(cell.state, work, residual, hidden)
                     if cell.history is not None:
                         cell.history.append(t, command, error)
                 except NumericError as exc:
                     cell.failure = str(exc)
+                    cell.done = t
                     ended = True
                     continue
                 except Exception as exc:  # noqa: BLE001 - one run cannot sink the group
                     cell.exc = exc
                     ended = True
                     continue
-                cell.commands.append(command)
-                cell.left = cell.cam_x[t] = left
-                cell.top = cell.cam_y[t] = top
                 cell.errors[t] = error
+                if cell.history is not None:  # a babbling run's are set up front
+                    cell.commands.append(command)
+                    cell.left = cell.cam_x[t] = left
+                    cell.top = cell.cam_y[t] = top
             if ended:
                 live = [c for c in live if c.failure is None and c.exc is None]
                 if not live:
@@ -454,8 +519,9 @@ def _outcome(cell: _Cell) -> tuple:
     worker sends back. A cell that raised sends neither columns nor model."""
     if cell.exc is not None:
         return None, None, _describe(cell.exc)
-    done = len(cell.commands)
-    columns = (cell.cam_x[:done], cell.cam_y[:done], cell.errors[:done], cell.commands)
+    done = cell.done
+    columns = (cell.cam_x[:done], cell.cam_y[:done], cell.errors[:done],
+               cell.commands[:done])
     return columns, cell.state, cell.failure
 
 
@@ -472,14 +538,18 @@ def _run_result(
 ) -> RunResult:
     """The ``RunResult`` of a cell's ``_outcome``."""
     trace: list[StepRecord] = []
+    metrics = None
     if columns is not None:
         cam_x, cam_y, errors, commands = columns
-        trace = list(map(StepRecord, range(len(commands)), cam_x.tolist(),
-                         cam_y.tolist(), commands, errors.tolist()))
+        xs, ys = cam_x.tolist(), cam_y.tolist()
+        trace = list(map(StepRecord._make,
+                         zip(range(len(commands)), xs, ys, commands, errors.tolist())))
+        if trace:
+            metrics = _metrics(xs, ys, commands, errors)
     return RunResult(
         config=config,
         trace=trace,
-        metrics=compute_metrics(trace) if trace else None,
+        metrics=metrics,
         elm_state=state,
         valid=failure is None,
         failure=failure,
@@ -490,15 +560,18 @@ def compute_metrics(trace: list[StepRecord]) -> Metrics:
     """Derive the summary numbers for a nonempty trace."""
     if not trace:
         raise ValueError("compute_metrics requires a nonempty trace")
-    errors = np.array([r.error for r in trace])
+    _, xs, ys, commands, errors = zip(*trace)
+    return _metrics(xs, ys, commands, np.array(errors))
+
+
+def _metrics(xs: Sequence[int], ys: Sequence[int], commands: Sequence[MotorCommand],
+             errors: np.ndarray) -> Metrics:
+    """``compute_metrics`` on a nonempty trace's columns."""
     final_error = float(errors[-FINAL_ERROR_WINDOW:].mean())
-    xs = [r.cam_x for r in trace]
-    ys = [r.cam_y for r in trace]
     unique_positions = len(set(zip(xs, ys)))
     bbox_area = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
-    # list.count compares by identity first, in C; a dict update per
-    # record would hash each command in Python.
-    commands = [r.command for r in trace]
+    # count compares by identity first, in C; a dict update per step would
+    # hash each command in Python.
     histogram = {cmd: commands.count(cmd) for cmd in MotorCommand}
     cumulative = np.concatenate([[0.0], np.cumsum(errors)])
     idx = np.arange(len(errors))

@@ -105,7 +105,7 @@ def test_random_commands_equal_choose_random_calls(drawn_before, seed, steps):
         bulk_rng.integers(5)
         step_rng.integers(5)
     assert (bulk_rng.bit_generator.state["has_uint32"] == 1) == bool(drawn_before)
-    bulk = random_commands(bulk_rng, steps)
+    bulk = [COMMANDS[i] for i in random_commands(bulk_rng, steps)]
     assert bulk == [choose_random(step_rng) for _ in range(steps)]
     assert bulk_rng.bit_generator.state == step_rng.bit_generator.state
 

@@ -163,11 +163,11 @@ def test_numeric_failure_flags_partial_trace(monkeypatch):
     calls = {"n": 0}
     real = harness.rls_update
 
-    def failing(state, work, residual):
+    def failing(state, work, residual, h=None):
         calls["n"] += 1
         if calls["n"] >= 5:
             raise NumericError("synthetic failure")
-        return real(state, work, residual)
+        return real(state, work, residual, h)
 
     monkeypatch.setattr(harness, "rls_update", failing)
     result = run_experiment(tiny_config(steps=20))
@@ -178,17 +178,18 @@ def test_numeric_failure_flags_partial_trace(monkeypatch):
 
 
 def nan_forecast_at(monkeypatch, step):
-    """Make the forecast of closed-loop step ``step`` all NaN."""
+    """Make the forecast of closed-loop step ``step`` all NaN: the loop
+    makes one forecast per run and step, whatever the controller."""
     calls = {"n": 0}
-    real = harness.forward_into
+    real = harness.forecast_into
 
-    def corrupting(state, x, work):
-        real(state, x, work)
+    def corrupting(state, h, out):
+        real(state, h, out)
         calls["n"] += 1
         if calls["n"] == step + 1:
-            work.forecast[:] = np.nan
+            out[:] = np.nan
 
-    monkeypatch.setattr(harness, "forward_into", corrupting)
+    monkeypatch.setattr(harness, "forecast_into", corrupting)
 
 
 def test_non_finite_error_ends_run_cleanly(monkeypatch):
@@ -382,6 +383,39 @@ def test_small_scene_makes_moves_hit_the_border():
         assert any(t % NOISE_BLOCK_STEPS for t in blocked)
 
 
+def scalar_walk(start, moves, upper):
+    path = [start]
+    for move in moves:
+        path.append(min(max(path[-1] + move, 0), upper))
+    return path
+
+
+@pytest.mark.parametrize("upper", [0, 1, 3, 15, 16, 17, 33, 40, 504])
+def test_clamped_walk_equals_one_clamped_move_at_a_time(upper):
+    rng = np.random.default_rng(upper)
+    walks = [rng.integers(-1, 2, length) for length in (0, 1, 2, 300, 3000)]
+    # Straight runs reach each bound exactly at the end of a free stretch.
+    walks += [np.repeat([-1, 1, 0, 1, -1], 60), np.repeat([1, -1], 600)]
+    for start in sorted({0, upper // 2, upper}):
+        for moves in walks:
+            path = harness._clamped_walk(start, moves, upper)
+            assert path.tolist() == scalar_walk(start, moves.tolist(), upper)
+
+
+def test_babbling_path_in_a_mid_sized_scene_matches_reference():
+    # In a 38x38 scene a 4x4 camera starts 17 cells from each border: the
+    # path is clamped in free stretches and move by move near a border, and
+    # must equal the reference loop's, step by step.
+    scene = synthetic_image(38, 38, seed=2)
+    for sigma in (0.01, 0.0):
+        config = dataclasses.replace(
+            tiny_config(seed=6, steps=900, sigma=sigma), hidden_count=5
+        )
+        trace, state = reference_run(config, scene)
+        assert any({r.cam_x, r.cam_y} & {0, 34} for r in trace)
+        assert_same_run(run_experiment(config, world=scene), trace, state)
+
+
 def test_babbling_runs_never_call_choose_action(monkeypatch):
     calls = []
     real = harness.choose_action
@@ -398,28 +432,48 @@ def test_babbling_runs_never_call_choose_action(monkeypatch):
     assert calls == [ControllerKind.MINPE] * 40
 
 
-@pytest.mark.parametrize("failure, kind", [
-    ("nan_forecast", ControllerKind.MAXLP), ("rls_update", ControllerKind.MAXLP),
-    ("nan_forecast", ControllerKind.RM), ("rls_update", ControllerKind.RM),
-], ids=["nan_forecast", "rls_update", "rm-nan_forecast", "rm-rls_update"])
-def test_abort_inside_a_noise_block_returns_reference_prefix(monkeypatch, failure, kind):
-    abort_at = NOISE_BLOCK_STEPS + 2  # the third step of the second block
+def abort_cases():
+    """(failure, kind, abort_at, sigma) over a run of 2 blocks + 3 steps:
+    inside the second block, at its first step, and inside the short final
+    block. The case inside the second block at sigma 0.01 has the short id
+    ``[rm-]failure``."""
+    places = [("inside", NOISE_BLOCK_STEPS + 2), ("first", NOISE_BLOCK_STEPS),
+              ("final", 2 * NOISE_BLOCK_STEPS + 1)]
+    for kind in (ControllerKind.MAXLP, ControllerKind.RM):
+        for failure in ("nan_forecast", "rls_update"):
+            for where, abort_at in places:
+                for sigma in (0.01, 0.0):
+                    if (where, sigma) == ("inside", 0.01):
+                        name = ("rm-" if kind is ControllerKind.RM else "") + failure
+                    else:
+                        name = f"{kind.value}-{failure}-{where}-sigma{sigma:g}"
+                    yield pytest.param(failure, kind, abort_at, sigma, id=name)
+
+
+@pytest.mark.parametrize("failure, kind, abort_at, sigma", list(abort_cases()))
+def test_abort_inside_a_noise_block_returns_reference_prefix(
+    monkeypatch, failure, kind, abort_at, sigma
+):
+    # The failure is injected at step abort_at's forecast or RLS update,
+    # which every controller makes once per step.
     if failure == "nan_forecast":
         nan_forecast_at(monkeypatch, abort_at)
     else:
         real = harness.rls_update
         calls = {"n": 0}
 
-        def failing(state, work, residual):
+        def failing(state, work, residual, h=None):
             calls["n"] += 1
             if calls["n"] == abort_at + 1:
                 raise NumericError("synthetic failure")
-            real(state, work, residual)
+            real(state, work, residual, h)
 
         monkeypatch.setattr(harness, "rls_update", failing)
-    config = wide_config(kind, 2 * NOISE_BLOCK_STEPS + 3, 0.01)
+    config = wide_config(kind, 2 * NOISE_BLOCK_STEPS + 3, sigma)
     result = run_experiment(config, world=SMALL_SCENE)
     assert not result.valid
+    expected = "synthetic failure" if failure == "rls_update" else f"step {abort_at}"
+    assert expected in result.failure
     assert len(result.trace) == abort_at
     reference = reference_run(dataclasses.replace(config, steps=abort_at), SMALL_SCENE)
     assert_same_run(result, *reference)
@@ -755,8 +809,8 @@ def test_lockstep_cell_aborting_mid_block_leaves_its_group_unchanged(
     solo = {(k, s): solo_run(base, k, s) for k in kinds for s in seeds}
     short = dataclasses.replace(base, steps=abort_at)
     aborted = solo_run(short, ControllerKind.MINPE, 2)
-    # One worker runs seed 1's three cells, then seed 2's, one forward pass
-    # of each cell per step: seed 2's MinPE makes forward pass
+    # One worker runs seed 1's three cells, then seed 2's, one forecast of
+    # each cell per step: seed 2's MinPE makes forecast
     # 3 * steps + 3 * abort_at + 2.
     nan_forecast_at(monkeypatch, 3 * steps + 3 * abort_at + 1)
     comparison = run_comparison(base, kinds, seeds, workers=1)
