@@ -1,11 +1,12 @@
 """Extreme learning machine: a single hidden layer with fixed random
 weights and a linear readout.
 
-The readout is kept up to date sample by sample with recursive least
-squares (``update_online``, after OS-ELM: Liang et al. 2006, IEEE TNN).
-On well-conditioned hidden layers it tracks the minimum-norm
-least-squares readout over all samples seen as the regularisation scale
-goes to zero. At the default scale of the closed-loop experiment the
+The readout is solved either in one shot from the Moore-Penrose
+pseudo-inverse of the hidden-layer matrix (``fit_batch``) or kept up to
+date sample by sample with recursive least squares (``update_online``,
+after OS-ELM: Liang et al. 2006, IEEE TNN). On well-conditioned hidden
+layers the two routes reach the same minimum-norm least-squares readout
+as the regularisation scale goes to zero. At the default scale of the closed-loop experiment the
 hidden layer is badly conditioned (many saturated units, some constant):
 there the two readouts agree on their predictions but not on their
 parameters, which can differ by about 100%.
@@ -42,7 +43,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -268,6 +269,39 @@ def predict(state: ElmState, frame: np.ndarray, velocity: np.ndarray) -> np.ndar
             f"expected ({state.input_dim - state.output_dim},)"
         )
     return forward(state, np.concatenate([frame, velocity]))[1]
+
+
+def fit_batch(
+    state: ElmState, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> ElmState:
+    """Solve the readout over all pairs at once.
+
+    Builds the hidden-layer matrix H with one column per sample and sets
+    the readout to ``Y @ pinv(H)``, the minimum-norm least-squares
+    solution of ``readout @ H = Y``; singular values below
+    ``max(rows, cols) * machine_epsilon * largest_singular_value`` count
+    as zero. Hidden weights, bias and the online accumulator are
+    untouched.
+    """
+    if len(pairs) == 0:
+        raise ValueError("fit_batch requires at least one training pair")
+    xs = np.column_stack([np.asarray(x, dtype=float) for x, _ in pairs])
+    ys = np.column_stack([np.asarray(y, dtype=float) for _, y in pairs])
+    if xs.shape[0] != state.input_dim:
+        raise DimensionError(
+            f"training inputs have length {xs.shape[0]}, "
+            f"expected {state.input_dim}"
+        )
+    if ys.shape[0] != state.output_dim:
+        raise DimensionError(
+            f"training targets have length {ys.shape[0]}, "
+            f"expected {state.output_dim}"
+        )
+    h = state.hidden_weights @ xs + state.hidden_bias[:, None]
+    with saturating():
+        ACTIVATIONS[state.activation](h)
+    readout = ys @ np.linalg.pinv(h)
+    return replace(state, readout=readout, samples_seen=len(pairs))
 
 
 def update_online(

@@ -2,10 +2,11 @@
 
 Expected values are either hand-derivable constants or come from
 independent oracles defined at the top of this file: pure-Python scalar
-loops for algebra, and a readout solved over all samples at once by
-``np.linalg.lstsq`` for the recursive solver. The oracles never call the
-code paths they check, apart from the hidden layer the batch readout is
-solved on.
+loops for algebra, a normal-equations solution for the minimum-norm
+property of ``fit_batch``, and a readout solved over all samples at once
+by ``np.linalg.lstsq`` for the recursive solver. The oracles never call
+the code paths they check, apart from the hidden layer the batch readout
+is solved on.
 """
 
 import math
@@ -20,6 +21,7 @@ from visuomotor.elm import (
     ElmConfig,
     ElmState,
     Workspace,
+    fit_batch,
     forecast_into,
     forward,
     forward_into,
@@ -69,6 +71,22 @@ def batch_readout(state, pairs):
     h = np.stack([forward(state, x)[0] for x, _ in pairs])
     y = np.stack([y for _, y in pairs])
     return np.linalg.lstsq(h, y, rcond=None)[0].T
+
+
+def min_norm_solution(h, y):
+    """Constrained minimiser of ||B||_F subject to B @ h = y.
+
+    Uses the normal equations of the underdetermined system directly,
+    which never touches the SVD code path under test.
+    """
+    return y @ np.linalg.solve(h.T @ h, h.T)
+
+
+def features_of(state, xs):
+    """Hidden-layer matrix, one column per sample, via the scalar oracle."""
+    return np.column_stack(
+        [scalar_hidden(state.hidden_weights, state.hidden_bias, x) for x in xs]
+    )
 
 
 def prediction_gap(state, reference, xs):
@@ -261,6 +279,84 @@ def test_predict_output_not_clipped():
     state = manual_state(np.zeros((2, 3)), np.zeros(2), [[10.0, 10.0]])
     out = predict(state, np.zeros(1), np.zeros(2))
     assert out[0] == pytest.approx(10.0)  # 10*0.5 + 10*0.5
+
+
+# ---------------------------------------------------------------------------
+# Batch fitting
+
+
+def test_fit_batch_zero_targets_zero_readout():
+    config = small_config()
+    state = init_elm(config)
+    rng = np.random.default_rng(2)
+    pairs = [(rng.uniform(0, 1, 5), np.zeros(3)) for _ in range(8)]
+    fitted = fit_batch(state, pairs)
+    assert np.array_equal(fitted.readout, np.zeros((3, 6)))
+
+
+def test_fit_batch_recovers_known_readout():
+    config = ElmConfig(input_dim=4, output_dim=3, hidden_count=5, seed=23)
+    state = init_elm(config)
+    rng = np.random.default_rng(17)
+    target_readout = rng.uniform(-1, 1, (3, 5))
+    xs = [rng.uniform(-1, 1, 4) for _ in range(50)]
+    pairs = [(x, target_readout @ forward(state, x)[0]) for x in xs]
+    fitted = fit_batch(state, pairs)
+    assert np.max(np.abs(fitted.readout - target_readout)) < 1e-8
+
+
+def test_fit_batch_minimum_norm_on_underdetermined_instance():
+    config = ElmConfig(input_dim=4, output_dim=3, hidden_count=10, seed=31)
+    state = init_elm(config)
+    rng = np.random.default_rng(13)
+    xs = [rng.uniform(-1, 1, 4) for _ in range(3)]
+    ys = [rng.uniform(-1, 1, 3) for _ in range(3)]
+    fitted = fit_batch(state, list(zip(xs, ys)))
+    h = features_of(state, xs)
+    y = np.column_stack(ys)
+    reference = min_norm_solution(h, y)
+    # Exact solution of the constraints, and no larger than the oracle.
+    assert np.allclose(fitted.readout @ h, y, atol=1e-8)
+    assert (
+        np.linalg.norm(fitted.readout) <= np.linalg.norm(reference) + 1e-8
+    )
+    assert np.allclose(fitted.readout, reference, atol=1e-7)
+
+
+def test_fit_batch_least_squares_optimality():
+    config = small_config(hidden_count=4)
+    state = init_elm(config)
+    rng = np.random.default_rng(29)
+    pairs = [(rng.uniform(0, 1, 5), rng.uniform(0, 1, 3)) for _ in range(40)]
+    fitted = fit_batch(state, pairs)
+    h = features_of(state, [x for x, _ in pairs])
+    y = np.column_stack([t for _, t in pairs])
+    best = np.linalg.norm(fitted.readout @ h - y)
+    for _ in range(20):
+        delta = rng.normal(scale=rng.choice([1e-3, 1e-1, 1.0]), size=(3, 4))
+        assert np.linalg.norm((fitted.readout + delta) @ h - y) >= best - 1e-10
+
+
+def test_fit_batch_leaves_weights_and_accumulator_alone():
+    config = small_config()
+    state = init_elm(config)
+    weights_before = state.hidden_weights.copy()
+    bias_before = state.hidden_bias.copy()
+    gram_before = state.inv_gram.copy()
+    rng = np.random.default_rng(4)
+    fitted = fit_batch(
+        state, [(rng.uniform(0, 1, 5), rng.uniform(0, 1, 3)) for _ in range(6)]
+    )
+    assert fitted.hidden_weights.tobytes() == weights_before.tobytes()
+    assert fitted.hidden_bias.tobytes() == bias_before.tobytes()
+    assert np.array_equal(fitted.inv_gram, gram_before)
+    assert fitted.samples_seen == 6
+
+
+def test_fit_batch_empty_pairs_rejected():
+    config = small_config()
+    with pytest.raises(ValueError):
+        fit_batch(init_elm(config), [])
 
 
 # ---------------------------------------------------------------------------
