@@ -124,8 +124,10 @@ def write_trace_csv(result: RunResult, path: str | Path) -> None:
     half_w = result.config.window_w // 2
     half_h = result.config.window_h // 2
     # "%.9g" % e formats as format(e, ".9g") does, and "%d" as str does.
+    # ``_value_`` is the code ``.value`` returns, read without the enum
+    # property's Python-level lookup.
     rows = "".join([
-        "%d,%d,%d,%s,%.9g\n" % (t, x + half_w, y + half_h, command.value, error)
+        "%d,%d,%d,%s,%.9g\n" % (t, x + half_w, y + half_h, command._value_, error)
         for t, x, y, command, error in result.trace
     ])
     with open(path, "w", newline="\n") as handle:

@@ -1,40 +1,30 @@
-"""Extreme learning machine: a single hidden layer with fixed random
-weights and a linear readout.
+"""Extreme learning machine: a single hidden layer of fixed random
+logistic units (Huang, Zhu and Siew 2006) and a linear readout kept up
+to date sample by sample with recursive least squares (``update_online``,
+after OS-ELM: Liang et al. 2006, IEEE TNN).
 
-The readout is solved either in one shot from the Moore-Penrose
-pseudo-inverse of the hidden-layer matrix (``fit_batch``) or kept up to
-date sample by sample with recursive least squares (``update_online``,
-after OS-ELM: Liang et al. 2006, IEEE TNN). On well-conditioned hidden
-layers the two routes reach the same minimum-norm least-squares readout
-as the regularisation scale goes to zero. At the default scale of the closed-loop experiment the
-hidden layer is badly conditioned (many saturated units, some constant):
-there the two readouts agree on their predictions but not on their
-parameters, which can differ by about 100%.
+As ``online_init_scale`` goes to zero, the recursive readout approaches
+the minimum-norm least-squares readout over all samples seen, when the
+hidden layer is well conditioned. At the default scale of the
+closed-loop experiment it is badly conditioned (many saturated units,
+some constant): there the two readouts agree on their predictions but
+their parameters can differ by about 100%.
 
 In-place kernels do the arithmetic: ``hidden_into`` writes the hidden
 responses to one input or to a stack of inputs, ``forecast_into`` the
-forecast from a response, ``forward_into`` both for one input, and
-``rls_update`` folds one residual into the readout and the accumulator.
-They write only into their ``out`` arrays, a ``Workspace`` (the buffers
-of one network shape) and the state, so the closed loop allocates its
-buffers once per run and its steps allocate no array data. Each kernel
-performs the same operations, in the same order, as the expressions with
-fresh arrays they replace: a product written through ``out=`` runs the
-same BLAS kernel, ``np.dot`` of a matrix and a vector or of two vectors
-runs the gemv or dot that ``matmul`` runs, and an elementwise step rounds
-the same wherever it writes. ``hidden_into`` on a stack runs one gemv per
-input, the call it makes for that input alone. Their results are
-therefore the same bits (the kernels' docstrings and comments give the
-details; ``tests/test_elm.py`` checks each assumption). The kernels check
-nothing and leave floating-point error handling to the caller: the
-logistic's ``exp`` overflows for inputs below about -709, which saturates
-the unit cleanly at 0, and callers hold ``saturating()`` around them once
-rather than once per call. ``forward``, ``predict`` and ``update_online``
-are the checked, pure entries over the same kernels.
+forecast from a response, and ``rls_update`` folds one residual into the
+readout and the accumulator. They write only into their ``out``
+arguments, a ``Workspace`` and the state, so the closed loop allocates
+its buffers once per run and its steps allocate no array data. Each
+kernel's result is the same bits as the expression with fresh arrays it
+replaces; its docstring says why, and ``tests/test_elm.py`` checks each
+assumption. The kernels check nothing and run under ``saturating()``.
+``forward``, ``predict`` and ``update_online`` are the checked, pure
+entries over the same kernels.
 
-``save_model`` writes the whole learner state, accumulator and activation
-included, as an ``ELM2`` file; training resumes from ``load_model(path)``
-exactly as from the saved state.
+``save_model`` writes the whole learner state, accumulator included, as
+an ``ELM2`` file; training resumes from ``load_model(path)`` exactly as
+from the saved state.
 """
 
 from __future__ import annotations
@@ -43,13 +33,13 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, ParseError
 
 MODEL_MAGIC = b"ELM2"
+_ACTIVATION = b"logistic"  # the one activation; a model file names it
 _NAME_WIDTH = 16
 # Magic, three dimensions, samples seen, NUL-padded activation name.
 _HEADER = struct.Struct(f"<4s4Q{_NAME_WIDTH}s")
@@ -63,16 +53,10 @@ def _logistic(z: np.ndarray) -> None:
     np.divide(1.0, z, out=z)
 
 
-# Each activation overwrites its argument with its value.
-ACTIVATIONS: dict[str, Callable[[np.ndarray], None]] = {
-    "logistic": _logistic,
-    "tanh": lambda z: np.tanh(z, out=z),
-}
-
-
 def saturating() -> np.errstate:
-    """The floating-point context the kernels run in: an overflow in the
-    logistic's ``exp`` saturates the unit at 0 without a warning."""
+    """The floating-point context the kernels run in: the logistic's
+    ``exp`` overflows for inputs below about -709, which saturates the
+    unit cleanly at 0, and here does so without a warning."""
     return np.errstate(over="ignore")
 
 
@@ -83,13 +67,12 @@ class ElmConfig:
     ``input_dim`` is the sensor dimension plus the motor dimension,
     ``output_dim`` the sensor dimension alone. ``online_init_scale`` is
     the ridge scale delta used to seed the recursive solver; smaller
-    values track the batch solution more closely.
+    values track the least-squares readout over all samples more closely.
     """
 
     input_dim: int
     output_dim: int
     hidden_count: int
-    activation: str = "logistic"
     weight_init_low: float = -1.0
     weight_init_high: float = 1.0
     bias_init_low: float = 0.0
@@ -109,11 +92,6 @@ class ElmConfig:
             raise ConfigError("bias init bounds must be finite, low not above high")
         if not 0 < self.online_init_scale < np.inf:
             raise ConfigError("online_init_scale must be finite and positive")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(
-                f"unknown activation {self.activation!r}; "
-                f"choose from {sorted(ACTIVATIONS)}"
-            )
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -133,7 +111,6 @@ class ElmState:
     readout: np.ndarray  # (output_dim, hidden_count)
     inv_gram: np.ndarray  # (hidden_count, hidden_count)
     samples_seen: int
-    activation: str
 
     @property
     def input_dim(self) -> int:
@@ -173,18 +150,15 @@ def init_elm(config: ElmConfig) -> ElmState:
         readout=readout,
         inv_gram=inv_gram,
         samples_seen=0,
-        activation=config.activation,
     )
 
 
 class Workspace:
-    """Buffers the kernels write into, sized for one network's shape."""
+    """The buffers ``rls_update`` writes into, sized for one network's shape."""
 
     def __init__(self, state: ElmState):
         p, m = state.output_dim, state.hidden_count
-        self.h = np.empty(m)  # forward_into's output: hidden response
-        self.forecast = np.empty(p)  # and forecast
-        self.ph = np.empty(m)  # rls_update's buffers: P h
+        self.ph = np.empty(m)  # P h
         self.gain = np.empty(m)
         self.readout_step = np.empty((p, m))  # the two rank-one products
         self.gram_step = np.empty((m, m))
@@ -195,23 +169,23 @@ class Workspace:
 
 
 def hidden_into(state: ElmState, x: np.ndarray, out: np.ndarray) -> None:
-    """Write h = g(Wx + b) into ``out``: for one input, ``x`` of length
-    ``input_dim`` and ``out`` of length ``hidden_count``; for a stack of
-    inputs, ``x`` (k, ``input_dim``) and ``out`` (k, ``hidden_count``), one
-    response per row. The rows of ``x`` may lie apart in memory, but each
-    row, and ``out``, must be contiguous.
+    """Write h = g(Wx + b), g the logistic, into ``out``: for one input,
+    ``x`` of length ``input_dim`` and ``out`` of length ``hidden_count``;
+    for a stack of inputs, ``x`` (k, ``input_dim``) and ``out``
+    (k, ``hidden_count``), one response per row. The rows of ``x`` may lie
+    apart in memory, but each row, and ``out``, must be contiguous.
 
     This is the one hidden-layer code path. ``matmul`` treats each input
     as an (``input_dim``, 1) matrix and runs one BLAS gemv per stack item,
     with the arguments ``W @ x`` passes for one input, so every response is
     the same bits whether computed alone or in a stack. (``np.dot`` on a
     stack would run one gemm, which may round differently.) The bias and
-    the activation are elementwise, on contiguous data either way. Run it
+    the logistic are elementwise, on contiguous data either way. Run it
     under ``saturating()``.
     """
     np.matmul(state.hidden_weights, x[..., None], out=out[..., None])
     out += state.hidden_bias
-    ACTIVATIONS[state.activation](out)
+    _logistic(out)
 
 
 def forecast_into(state: ElmState, h: np.ndarray, out: np.ndarray) -> None:
@@ -224,31 +198,20 @@ def forecast_into(state: ElmState, h: np.ndarray, out: np.ndarray) -> None:
     np.dot(state.readout, h, out=out)
 
 
-def forward_into(state: ElmState, x: np.ndarray, work: Workspace) -> None:
-    """Write h = g(Wx + b) into ``work.h`` and ``readout @ h`` into
-    ``work.forecast``; ``x`` is a float64 vector of length ``input_dim``.
-    Run it under ``saturating()``."""
-    hidden_into(state, x, work.h)
-    forecast_into(state, work.h, work.forecast)
-
-
-def _checked_input(state: ElmState, x: np.ndarray) -> np.ndarray:
+def forward(state: ElmState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden response h = g(Wx + b) and forecast ``readout @ h`` for one
+    input vector (frame and velocity concatenated), as fresh arrays."""
     x = np.asarray(x, dtype=float)
     if x.shape != (state.input_dim,):
         raise DimensionError(
             f"input has shape {x.shape}, expected ({state.input_dim},)"
         )
-    return x
-
-
-def forward(state: ElmState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden response h = g(Wx + b) and forecast ``readout @ h`` for one
-    input vector (frame and velocity concatenated), as fresh arrays."""
-    x = _checked_input(state, x)
-    work = Workspace(state)
+    h = np.empty(state.hidden_count)
+    forecast = np.empty(state.output_dim)
     with saturating():
-        forward_into(state, x, work)
-    return work.h, work.forecast
+        hidden_into(state, x, h)
+        forecast_into(state, h, forecast)
+    return h, forecast
 
 
 def predict(state: ElmState, frame: np.ndarray, velocity: np.ndarray) -> np.ndarray:
@@ -271,46 +234,13 @@ def predict(state: ElmState, frame: np.ndarray, velocity: np.ndarray) -> np.ndar
     return forward(state, np.concatenate([frame, velocity]))[1]
 
 
-def fit_batch(
-    state: ElmState, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> ElmState:
-    """Solve the readout over all pairs at once.
-
-    Builds the hidden-layer matrix H with one column per sample and sets
-    the readout to ``Y @ pinv(H)``, the minimum-norm least-squares
-    solution of ``readout @ H = Y``; singular values below
-    ``max(rows, cols) * machine_epsilon * largest_singular_value`` count
-    as zero. Hidden weights, bias and the online accumulator are
-    untouched.
-    """
-    if len(pairs) == 0:
-        raise ValueError("fit_batch requires at least one training pair")
-    xs = np.column_stack([np.asarray(x, dtype=float) for x, _ in pairs])
-    ys = np.column_stack([np.asarray(y, dtype=float) for _, y in pairs])
-    if xs.shape[0] != state.input_dim:
-        raise DimensionError(
-            f"training inputs have length {xs.shape[0]}, "
-            f"expected {state.input_dim}"
-        )
-    if ys.shape[0] != state.output_dim:
-        raise DimensionError(
-            f"training targets have length {ys.shape[0]}, "
-            f"expected {state.output_dim}"
-        )
-    h = state.hidden_weights @ xs + state.hidden_bias[:, None]
-    with saturating():
-        ACTIVATIONS[state.activation](h)
-    readout = ys @ np.linalg.pinv(h)
-    return replace(state, readout=readout, samples_seen=len(pairs))
-
-
 def update_online(
     state: ElmState, pair: tuple[np.ndarray, np.ndarray]
 ) -> ElmState:
     """Fold one sample into a copy of the readout with recursive least
     squares (see ``rls_update``); ``state`` itself is left unchanged."""
     x, y = pair
-    x = _checked_input(state, x)
+    h, forecast = forward(state, x)
     y = np.asarray(y, dtype=float)
     if y.shape != (state.output_dim,):
         raise DimensionError(
@@ -319,21 +249,18 @@ def update_online(
     updated = replace(
         state, readout=state.readout.copy(), inv_gram=state.inv_gram.copy()
     )
-    work = Workspace(state)
     with saturating():
-        forward_into(updated, x, work)
-        rls_update(updated, work, y - work.forecast)
+        rls_update(updated, Workspace(state), y - forecast, h)
     return updated
 
 
 def rls_update(
-    state: ElmState, work: Workspace, residual: np.ndarray, h: np.ndarray | None = None
+    state: ElmState, work: Workspace, residual: np.ndarray, h: np.ndarray
 ) -> None:
     """Fold one sample into ``state`` in place with recursive least squares.
 
-    ``h`` is the hidden response to the sample's input, ``work.h`` (where
-    ``forward_into`` writes it) when not given, and ``residual`` is the
-    sample's target minus the forecast ``readout @ h``. ``h`` is only
+    ``h`` is the hidden response to the sample's input and ``residual``
+    the sample's target minus the forecast ``readout @ h``. ``h`` is only
     read, so a row of a stack of responses serves without a copy. With P
     the inverse-Gram accumulator: ``k = P h / (1 + h' P h)``,
     ``readout += residual k'`` and ``P -= (P h)(P h)' / (1 + h' P h)``.
@@ -341,8 +268,6 @@ def rls_update(
     denominator that is not finite and positive raises ``NumericError``
     before the state is changed.
     """
-    if h is None:
-        h = work.h
     ph = work.ph
     # np.dot runs the BLAS gemv and dot that matmul does for these
     # operands, so the values are the same, at less cost per call.
@@ -395,13 +320,14 @@ def save_model(state: ElmState, path: str | Path) -> None:
     """Write the whole learner state to a flat binary file.
 
     Layout: the magic ``ELM2``; input, output and hidden dimensions and
-    ``samples_seen`` as little-endian uint64; the activation name in
-    ASCII, NUL-padded to 16 bytes. Then hidden weights, bias, readout and
-    the inverse-Gram accumulator P as little-endian float64, row-major.
+    ``samples_seen`` as little-endian uint64; the activation name,
+    ``logistic``, in ASCII, NUL-padded to 16 bytes. Then hidden weights,
+    bias, readout and the inverse-Gram accumulator P as little-endian
+    float64, row-major.
     """
     header = _HEADER.pack(
         MODEL_MAGIC, state.input_dim, state.output_dim, state.hidden_count,
-        state.samples_seen, state.activation.encode("ascii"),
+        state.samples_seen, _ACTIVATION,
     )
     arrays = (state.hidden_weights, state.hidden_bias, state.readout, state.inv_gram)
     body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
@@ -412,10 +338,10 @@ def load_model(path: str | Path) -> ElmState:
     """Read a model written by ``save_model``; the file holds every field.
 
     Malformed bytes raise ``ParseError`` at the offending offset: a bad
-    magic (an ``ELM1`` file among them) at 0, an unknown activation name
-    at its field, a P that is not symmetric bit for bit at P's field
-    (``rls_update`` keeps P symmetric only if it starts so), bytes after
-    the payload at the payload's end.
+    magic (an ``ELM1`` file among them) at 0, an activation name other
+    than ``logistic`` at its field, a P that is not symmetric bit for bit
+    at P's field (``rls_update`` keeps P symmetric only if it starts so),
+    bytes after the payload at the payload's end.
     """
     data = Path(path).read_bytes()
     if data[:4] != MODEL_MAGIC:
@@ -425,9 +351,9 @@ def load_model(path: str | Path) -> ElmState:
     _, n, p, hidden, samples_seen, name = _HEADER.unpack_from(data)
     if n < 1 or p < 1 or hidden < 1:
         raise ParseError("model dimensions must be positive", offset=4)
-    activation = name.rstrip(b"\0").decode("ascii", "replace")
-    if activation not in ACTIVATIONS:
-        raise ParseError(f"unknown activation {activation!r}",
+    name = name.rstrip(b"\0")
+    if name != _ACTIVATION:
+        raise ParseError(f"unknown activation {name.decode('ascii', 'replace')!r}",
                          offset=_HEADER.size - _NAME_WIDTH)
     # Hidden weights, bias, readout and P, in file order.
     shapes = [(hidden, n), (hidden,), (p, hidden), (hidden, hidden)]
@@ -454,5 +380,4 @@ def load_model(path: str | Path) -> ElmState:
         readout=readout,
         inv_gram=inv_gram,
         samples_seen=samples_seen,
-        activation=activation,
     )

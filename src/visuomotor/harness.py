@@ -4,18 +4,11 @@ One run wires the pieces together for a fixed number of steps: observe,
 choose a command, forecast the next frame, move, observe again, score
 the forecast, train online, log. In a comparison, the runs of one master
 seed see the same scene, hidden layer and sensor noise, so that only the
-control policy differs between them. They share one draw of each: they
-run in lockstep, one step of each in turn, on one loaded scene, one
-read-only hidden layer and one stream of noise blocks, and each run's
-trace is the same bits as that run's alone.
-
-Random babbling (RM) runs open loop: its commands never read the errors,
-so a run draws them all and clamps its whole camera path at its start.
-For each noise block it then senses the block's frames in one pass and
-computes their hidden responses in one stacked product, which runs one
-BLAS gemv per input, the call one input alone gets, so each response is
-the same bits. Only the learning runs per step: forecast, score, check,
-update, log.
+control policy differs between them. They share one draw of each and run
+in lockstep (``_run_lockstep``), and each run's trace is the same bits as
+that run's alone. Random babbling (RM) never reads the errors, so its
+run is planned at its start and sensed a noise block at a time
+(``_Cell``); only its learning runs per step.
 """
 
 from __future__ import annotations
@@ -331,10 +324,11 @@ class _Cell:
 
         ``windows`` is the scene's (top, left, height, width) window view
         and ``noise`` the block's noise frames, or None with sigma 0. The
-        block's frames are gathered in one index and sensed in one
-        ``_sense``, which is elementwise, so each frame has the bits of its
-        own ``_sense``. The hidden responses of the block's inputs come
-        from one ``hidden_into`` on the stack of input rows.
+        windows before and after each of the block's moves are gathered in
+        one index and sensed in one ``_sense``, which is elementwise, so
+        each frame has the bits of its own ``_sense``. The block's hidden
+        responses come from one ``hidden_into`` on the stack of input rows,
+        which gives each row the bits of its input alone.
         """
         block = slice(2 * t, 2 * t + NOISE_BLOCK_FRAMES)
         seen = windows[self.frame_tops[block], self.frame_lefts[block]]
@@ -381,20 +375,13 @@ def _run_lockstep(
     - A babbling (RM) run draws its command codes at the start, as
       ``steps`` ``choose_random`` calls would (``random_commands``), keeps
       no history, and clamps its whole path once, as the steps would
-      (``_clamped_walk``). At each noise block's start,
-      ``_Cell.fill_block`` gathers the windows before and after each of
-      the block's moves in one index, senses them in one ``_sense``, which
-      is elementwise, so each frame has its own ``_sense``'s bits, and
-      computes the block's hidden responses in one ``hidden_into`` on the
-      stack of input rows: ``matmul`` runs one BLAS gemv per row, with the
-      arguments it passes for one input, and the bias and the activation
-      are elementwise, so each response is the bits of that step's own.
-      A position or command known ahead counts only once its step
-      completes.
+      (``_clamped_walk``). Its frames and hidden responses come a noise
+      block at a time from ``_Cell.fill_block``. A position or command
+      known ahead counts only once its step completes.
     - Every run then learns alike, from a hidden response: the forecast,
       the score and the update share it. A reactive run computes it per
-      step into the ELM ``Workspace``; a babbling run reads its row of the
-      block's responses, uncopied. The residual ``target - forecast`` is
+      step into a buffer of the group's; a babbling run reads its row of
+      the block's responses, uncopied. The residual ``target - forecast`` is
       computed once: the error is ``r . r / n``, equal to
       ``prediction_error`` because negation is exact, and ``rls_update``
       trains on it in place. Each run's step has finished with the shared
@@ -435,11 +422,13 @@ def _run_lockstep(
     n = w * h
     work = Workspace(state)
     x = np.empty(n + 2)
-    frame = x[:n].reshape(h, w)  # views of the buffers, in the window's shape
-    forecast = work.forecast.reshape(h, w)
-    residual = np.empty(n)
-    residual_2d = residual.reshape(h, w)
+    response = np.empty(state.hidden_count)  # a reactive step's hidden response
     sensed = np.empty((h, w))
+    forecast = np.empty(n)
+    residual = np.empty(n)
+    frame = x[:n].reshape(h, w)  # views of the buffers, in the window's shape
+    forecast_2d = forecast.reshape(h, w)
+    residual_2d = residual.reshape(h, w)
     steps = first.steps
     sigma = first.noise.sigma
     noisy = sigma > 0.0
@@ -482,11 +471,11 @@ def _run_lockstep(
                         if noisy:
                             _sense(target, noise_block[k + 1], sensed)
                             target = sensed
-                        hidden = work.h
+                        hidden = response
                         hidden_into(cell.state, x, hidden)
                     # Learn from them, the same for every controller.
-                    forecast_into(cell.state, hidden, work.forecast)
-                    np.subtract(target, forecast, out=residual_2d)
+                    forecast_into(cell.state, hidden, forecast)
+                    np.subtract(target, forecast_2d, out=residual_2d)
                     error = float(np.dot(residual, residual)) / n
                     if not math.isfinite(error):
                         raise NumericError(f"prediction error is {error!r} at step {t}")

@@ -2,11 +2,10 @@
 
 Expected values are either hand-derivable constants or come from
 independent oracles defined at the top of this file: pure-Python scalar
-loops for algebra, a normal-equations solution for the minimum-norm
-property of ``fit_batch``, and a readout solved over all samples at once
-by ``np.linalg.lstsq`` for the recursive solver. The oracles never call
-the code paths they check, apart from the hidden layer the batch readout
-is solved on.
+loops for algebra, and a readout solved over all samples at once by
+``np.linalg.lstsq`` for the recursive solver. The oracles never call the
+code paths they check, apart from the hidden layer the batch readout is
+solved on.
 """
 
 import math
@@ -21,10 +20,8 @@ from visuomotor.elm import (
     ElmConfig,
     ElmState,
     Workspace,
-    fit_batch,
     forecast_into,
     forward,
-    forward_into,
     hidden_into,
     init_elm,
     load_model,
@@ -36,6 +33,7 @@ from visuomotor.elm import (
     update_online,
 )
 from visuomotor.errors import ConfigError, DimensionError, NumericError, ParseError
+from visuomotor.harness import default_config, run_experiment
 
 
 # ---------------------------------------------------------------------------
@@ -73,22 +71,6 @@ def batch_readout(state, pairs):
     return np.linalg.lstsq(h, y, rcond=None)[0].T
 
 
-def min_norm_solution(h, y):
-    """Constrained minimiser of ||B||_F subject to B @ h = y.
-
-    Uses the normal equations of the underdetermined system directly,
-    which never touches the SVD code path under test.
-    """
-    return y @ np.linalg.solve(h.T @ h, h.T)
-
-
-def features_of(state, xs):
-    """Hidden-layer matrix, one column per sample, via the scalar oracle."""
-    return np.column_stack(
-        [scalar_hidden(state.hidden_weights, state.hidden_bias, x) for x in xs]
-    )
-
-
 def prediction_gap(state, reference, xs):
     """Relative Frobenius distance between two models' forecasts on xs."""
     ours = np.stack([forward(state, x)[1] for x in xs])
@@ -102,7 +84,7 @@ def small_config(**overrides):
     return ElmConfig(**defaults)
 
 
-def manual_state(weights, bias, readout, activation="logistic"):
+def manual_state(weights, bias, readout):
     weights = np.asarray(weights, dtype=float)
     bias = np.asarray(bias, dtype=float)
     readout = np.asarray(readout, dtype=float)
@@ -112,7 +94,6 @@ def manual_state(weights, bias, readout, activation="logistic"):
         readout=readout,
         inv_gram=np.eye(weights.shape[0]),
         samples_seen=0,
-        activation=activation,
     )
 
 
@@ -179,7 +160,6 @@ def test_init_weights_are_read_only():
         dict(weight_init_low=0.5, weight_init_high=0.5),
         dict(online_init_scale=0.0),
         dict(online_init_scale=-1e-8),
-        dict(activation="relu"),
         dict(seed=-1),
     ],
 )
@@ -210,12 +190,6 @@ def test_hidden_matches_scalar_oracle():
         x = rng.uniform(-2, 2, 20)
         expected = scalar_hidden(state.hidden_weights, state.hidden_bias, x)
         assert np.allclose(forward(state, x)[0], expected, atol=1e-12)
-
-
-def test_hidden_tanh_variant():
-    state = manual_state(np.eye(2), np.zeros(2), np.zeros((1, 2)), activation="tanh")
-    h = forward(state, np.array([0.0, 100.0]))[0]
-    assert h == pytest.approx([0.0, 1.0])
 
 
 def test_hidden_length_mismatch():
@@ -279,84 +253,6 @@ def test_predict_output_not_clipped():
     state = manual_state(np.zeros((2, 3)), np.zeros(2), [[10.0, 10.0]])
     out = predict(state, np.zeros(1), np.zeros(2))
     assert out[0] == pytest.approx(10.0)  # 10*0.5 + 10*0.5
-
-
-# ---------------------------------------------------------------------------
-# Batch fitting
-
-
-def test_fit_batch_zero_targets_zero_readout():
-    config = small_config()
-    state = init_elm(config)
-    rng = np.random.default_rng(2)
-    pairs = [(rng.uniform(0, 1, 5), np.zeros(3)) for _ in range(8)]
-    fitted = fit_batch(state, pairs)
-    assert np.array_equal(fitted.readout, np.zeros((3, 6)))
-
-
-def test_fit_batch_recovers_known_readout():
-    config = ElmConfig(input_dim=4, output_dim=3, hidden_count=5, seed=23)
-    state = init_elm(config)
-    rng = np.random.default_rng(17)
-    target_readout = rng.uniform(-1, 1, (3, 5))
-    xs = [rng.uniform(-1, 1, 4) for _ in range(50)]
-    pairs = [(x, target_readout @ forward(state, x)[0]) for x in xs]
-    fitted = fit_batch(state, pairs)
-    assert np.max(np.abs(fitted.readout - target_readout)) < 1e-8
-
-
-def test_fit_batch_minimum_norm_on_underdetermined_instance():
-    config = ElmConfig(input_dim=4, output_dim=3, hidden_count=10, seed=31)
-    state = init_elm(config)
-    rng = np.random.default_rng(13)
-    xs = [rng.uniform(-1, 1, 4) for _ in range(3)]
-    ys = [rng.uniform(-1, 1, 3) for _ in range(3)]
-    fitted = fit_batch(state, list(zip(xs, ys)))
-    h = features_of(state, xs)
-    y = np.column_stack(ys)
-    reference = min_norm_solution(h, y)
-    # Exact solution of the constraints, and no larger than the oracle.
-    assert np.allclose(fitted.readout @ h, y, atol=1e-8)
-    assert (
-        np.linalg.norm(fitted.readout) <= np.linalg.norm(reference) + 1e-8
-    )
-    assert np.allclose(fitted.readout, reference, atol=1e-7)
-
-
-def test_fit_batch_least_squares_optimality():
-    config = small_config(hidden_count=4)
-    state = init_elm(config)
-    rng = np.random.default_rng(29)
-    pairs = [(rng.uniform(0, 1, 5), rng.uniform(0, 1, 3)) for _ in range(40)]
-    fitted = fit_batch(state, pairs)
-    h = features_of(state, [x for x, _ in pairs])
-    y = np.column_stack([t for _, t in pairs])
-    best = np.linalg.norm(fitted.readout @ h - y)
-    for _ in range(20):
-        delta = rng.normal(scale=rng.choice([1e-3, 1e-1, 1.0]), size=(3, 4))
-        assert np.linalg.norm((fitted.readout + delta) @ h - y) >= best - 1e-10
-
-
-def test_fit_batch_leaves_weights_and_accumulator_alone():
-    config = small_config()
-    state = init_elm(config)
-    weights_before = state.hidden_weights.copy()
-    bias_before = state.hidden_bias.copy()
-    gram_before = state.inv_gram.copy()
-    rng = np.random.default_rng(4)
-    fitted = fit_batch(
-        state, [(rng.uniform(0, 1, 5), rng.uniform(0, 1, 3)) for _ in range(6)]
-    )
-    assert fitted.hidden_weights.tobytes() == weights_before.tobytes()
-    assert fitted.hidden_bias.tobytes() == bias_before.tobytes()
-    assert np.array_equal(fitted.inv_gram, gram_before)
-    assert fitted.samples_seen == 6
-
-
-def test_fit_batch_empty_pairs_rejected():
-    config = small_config()
-    with pytest.raises(ValueError):
-        fit_batch(init_elm(config), [])
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +413,12 @@ def test_online_is_pure_and_matches_in_place_kernel():
     )
     h, forecast = forward(twin, x)
     assert forecast.tobytes() == predict(state, x[:3], x[3:]).tobytes()
-    work = Workspace(twin)
-    forward_into(twin, x, work)
-    assert work.h.tobytes() == h.tobytes()
-    assert work.forecast.tobytes() == forecast.tobytes()
-    rls_update(twin, work, y - forecast)
+    h_in_place, forecast_in_place = np.empty(9), np.empty(3)
+    hidden_into(twin, x, h_in_place)
+    forecast_into(twin, h_in_place, forecast_in_place)
+    assert h_in_place.tobytes() == h.tobytes()
+    assert forecast_in_place.tobytes() == forecast.tobytes()
+    rls_update(twin, Workspace(twin), y - forecast, h_in_place)
     assert twin.readout.tobytes() == updated.readout.tobytes()
     assert twin.inv_gram.tobytes() == updated.inv_gram.tobytes()
     assert twin.samples_seen == updated.samples_seen == 16
@@ -553,14 +450,16 @@ def test_in_place_kernel_matches_outer_recursion_at_loop_shapes(
     state = init_elm(config)
     readout, inv_gram = state.readout.copy(), state.inv_gram.copy()
     work = Workspace(state)
+    h_in_place, forecast_in_place = np.empty(hidden_count), np.empty(output_dim)
     rng = np.random.default_rng(17)
     for _ in range(6):
         x = np.concatenate([rng.uniform(0, 1, output_dim), rng.integers(-1, 2, 2)])
         y = rng.uniform(0, 1, output_dim)
         h, forecast = forward(state, x)
         y[1::7] = forecast[1::7]
-        forward_into(state, x, work)
-        rls_update(state, work, y - work.forecast)
+        hidden_into(state, x, h_in_place)
+        forecast_into(state, h_in_place, forecast_in_place)
+        rls_update(state, work, y - forecast_in_place, h_in_place)
 
         ph = inv_gram @ h
         denom = 1.0 + h @ ph
@@ -582,14 +481,16 @@ def test_in_place_kernel_keeps_inv_gram_symmetric_bit_for_bit(
     )
     state = init_elm(config)
     work = Workspace(state)
+    h, forecast = np.empty(hidden_count), np.empty(output_dim)
     rng = np.random.default_rng(18)
     with saturating():
         for _ in range(50):
             x = np.concatenate(
                 [rng.uniform(0, 1, output_dim), rng.integers(-1, 2, 2)]
             )
-            forward_into(state, x, work)
-            rls_update(state, work, rng.uniform(0, 1, output_dim) - work.forecast)
+            hidden_into(state, x, h)
+            forecast_into(state, h, forecast)
+            rls_update(state, work, rng.uniform(0, 1, output_dim) - forecast, h)
     assert state.samples_seen == 50
     assert not np.array_equal(state.inv_gram, init_elm(config).inv_gram)
     assert state.inv_gram.tobytes() == state.inv_gram.T.copy().tobytes()
@@ -598,10 +499,11 @@ def test_in_place_kernel_keeps_inv_gram_symmetric_bit_for_bit(
 def test_in_place_kernel_failure_changes_nothing():
     state = manual_state(np.zeros((2, 3)), np.zeros(2), np.ones((1, 2)))
     state.inv_gram = -10.0 * np.eye(2)
-    work = Workspace(state)
-    forward_into(state, np.zeros(3), work)
+    h, forecast = np.empty(2), np.empty(1)
+    hidden_into(state, np.zeros(3), h)
+    forecast_into(state, h, forecast)
     with pytest.raises(NumericError):
-        rls_update(state, work, np.zeros(1) - work.forecast)
+        rls_update(state, Workspace(state), np.zeros(1) - forecast, h)
     assert np.array_equal(state.readout, np.ones((1, 2)))
     assert np.array_equal(state.inv_gram, -10.0 * np.eye(2))
     assert state.samples_seen == 0
@@ -656,7 +558,7 @@ def test_stacked_hidden_layer_equals_one_input_at_a_time(input_dim, scale):
     weights = state.hidden_weights
     rng = np.random.default_rng(input_dim)
     rows = input_rows(rng, input_dim, 16, scale)
-    work = Workspace(state)
+    single = np.empty(30)
     for count in range(1, 17):
         stack = rows[:count, 0]
         assert not stack.flags.c_contiguous or count == 1
@@ -682,10 +584,10 @@ def test_stacked_hidden_layer_equals_one_input_at_a_time(input_dim, scale):
                     f"hidden_into's row {j} of a stack of {count} is not matmul on "
                     "the stack followed by the bias and the logistic"
                 )
-                forward_into(state, x.copy(), work)
-                assert work.h.tobytes() == one.tobytes(), (
-                    "forward_into's h is not matmul on one input followed by the "
-                    "bias and the logistic"
+                hidden_into(state, x.copy(), single)
+                assert single.tobytes() == one.tobytes(), (
+                    "hidden_into's h for one input is not matmul on that input "
+                    "followed by the bias and the logistic"
                 )
     if scale > 1.0:
         assert np.any(hidden == 0.0) and np.any(hidden == 1.0)
@@ -805,10 +707,39 @@ def test_model_resumes_training_bit_identically(tmp_path):
 
 
 def test_model_keeps_tanh_activation(tmp_path):
-    state = init_elm(small_config(activation="tanh"))
+    # Older builds kept a tanh network's activation name in its file. The
+    # network is logistic only now, so such a file no longer loads.
     path = tmp_path / "tanh.elm"
+    save_model(init_elm(small_config()), path)
+    raw = bytearray(path.read_bytes())
+    raw[36:52] = b"tanh".ljust(16, b"\0")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match="tanh") as info:
+        load_model(path)
+    assert info.value.offset == 36
+
+
+def test_model_from_a_closed_loop_run_round_trips(tmp_path):
+    # The readout and P of a real run, which 300 updates on saturated hidden
+    # responses have moved far from their start, not a toy state.
+    result = run_experiment(
+        default_config("maxlp", 1, steps=300, camera=8, hidden_count=10)
+    )
+    assert result.valid
+    state = result.elm_state
+    path = tmp_path / "run.elm"
     save_model(state, path)
-    assert load_model(path).activation == "tanh"
+    loaded = load_model(path)
+    for name in ("hidden_weights", "hidden_bias", "readout", "inv_gram"):
+        saved, back = getattr(state, name), getattr(loaded, name)
+        assert back.shape == saved.shape
+        assert back.tobytes() == saved.tobytes(), name
+    assert loaded.samples_seen == state.samples_seen == 300
+    rng = np.random.default_rng(63)
+    pair = (np.concatenate([rng.uniform(0, 1, 64), [1.0, 0.0]]), rng.uniform(0, 1, 64))
+    resumed, original = update_online(loaded, pair), update_online(state, pair)
+    assert resumed.readout.tobytes() == original.readout.tobytes()
+    assert resumed.inv_gram.tobytes() == original.inv_gram.tobytes()
 
 
 def test_model_file_layout(tmp_path):

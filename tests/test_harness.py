@@ -163,7 +163,7 @@ def test_numeric_failure_flags_partial_trace(monkeypatch):
     calls = {"n": 0}
     real = harness.rls_update
 
-    def failing(state, work, residual, h=None):
+    def failing(state, work, residual, h):
         calls["n"] += 1
         if calls["n"] >= 5:
             raise NumericError("synthetic failure")
@@ -462,7 +462,7 @@ def test_abort_inside_a_noise_block_returns_reference_prefix(
         real = harness.rls_update
         calls = {"n": 0}
 
-        def failing(state, work, residual, h=None):
+        def failing(state, work, residual, h):
             calls["n"] += 1
             if calls["n"] == abort_at + 1:
                 raise NumericError("synthetic failure")
