@@ -166,9 +166,10 @@ def write_summary(comparison: ComparisonResult, path: str | Path) -> None:
 
 
 def _write_pgm_p5(path: str | Path, gray: np.ndarray) -> None:
+    """Write ``quantize``'s uint8 output as a binary PGM."""
     height, width = gray.shape
     header = f"P5\n{width} {height}\n255\n".encode()
-    Path(path).write_bytes(header + gray.astype(np.uint8).tobytes())
+    Path(path).write_bytes(header + gray.tobytes())
 
 
 def render_frames(

@@ -3,6 +3,10 @@ logistic units (Huang, Zhu and Siew 2006) and a linear readout kept up
 to date sample by sample with recursive least squares (``update_online``,
 after OS-ELM: Liang et al. 2006, IEEE TNN).
 
+``init_elm`` draws an ``ElmState`` for an ``ElmConfig``: the fixed hidden
+layer, a zero readout and the accumulator the recursion keeps. A state
+lives for one closed-loop run; nothing here writes it to a file.
+
 As ``online_init_scale`` goes to zero, the recursive readout approaches
 the minimum-norm least-squares readout over all samples seen, when the
 hidden layer is well conditioned. At the default scale of the
@@ -20,29 +24,18 @@ kernel's result is the same bits as the expression with fresh arrays it
 replaces; its docstring says why, and ``tests/test_elm.py`` checks each
 assumption. The kernels check nothing and run under ``saturating()``.
 ``forward``, ``predict`` and ``update_online`` are the checked, pure
-entries over the same kernels.
-
-``save_model`` writes the whole learner state, accumulator included, as
-an ``ELM2`` file; training resumes from ``load_model(path)`` exactly as
-from the saved state.
+entries over the same kernels, and ``prediction_error`` scores a
+forecast.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, ParseError
-
-MODEL_MAGIC = b"ELM2"
-_ACTIVATION = b"logistic"  # the one activation; a model file names it
-_NAME_WIDTH = 16
-# Magic, three dimensions, samples seen, NUL-padded activation name.
-_HEADER = struct.Struct(f"<4s4Q{_NAME_WIDTH}s")
+from .errors import ConfigError, DimensionError, NumericError
 
 
 def _logistic(z: np.ndarray) -> None:
@@ -292,9 +285,9 @@ def rls_update(
     # multiplication commutes. Only a zero's sign might differ between them,
     # and that shows in P - step only where P holds -0, which I / delta does
     # not and no subtraction creates. So a symmetric P stays symmetric bit
-    # for bit, and ``load_model`` rejects one that is not. Re-symmetrising
-    # would change nothing: for a symmetric P short of overflow,
-    # (P + P') / 2 = 2P / 2 = P exactly.
+    # for bit, and ``init_elm`` starts it so. Re-symmetrising would change
+    # nothing: for a symmetric P short of overflow, (P + P') / 2 = 2P / 2 = P
+    # exactly.
     step = work.gram_step
     np.dot(work.ph_col, work.ph_row, out=step)
     step /= denom
@@ -314,70 +307,3 @@ def prediction_error(predicted: np.ndarray, actual: np.ndarray) -> float:
         raise DimensionError("vectors must be non-empty")
     diff = predicted - actual
     return float(diff @ diff) / predicted.size
-
-
-def save_model(state: ElmState, path: str | Path) -> None:
-    """Write the whole learner state to a flat binary file.
-
-    Layout: the magic ``ELM2``; input, output and hidden dimensions and
-    ``samples_seen`` as little-endian uint64; the activation name,
-    ``logistic``, in ASCII, NUL-padded to 16 bytes. Then hidden weights,
-    bias, readout and the inverse-Gram accumulator P as little-endian
-    float64, row-major.
-    """
-    header = _HEADER.pack(
-        MODEL_MAGIC, state.input_dim, state.output_dim, state.hidden_count,
-        state.samples_seen, _ACTIVATION,
-    )
-    arrays = (state.hidden_weights, state.hidden_bias, state.readout, state.inv_gram)
-    body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-    Path(path).write_bytes(header + body)
-
-
-def load_model(path: str | Path) -> ElmState:
-    """Read a model written by ``save_model``; the file holds every field.
-
-    Malformed bytes raise ``ParseError`` at the offending offset: a bad
-    magic (an ``ELM1`` file among them) at 0, an activation name other
-    than ``logistic`` at its field, a P that is not symmetric bit for bit
-    at P's field (``rls_update`` keeps P symmetric only if it starts so),
-    bytes after the payload at the payload's end.
-    """
-    data = Path(path).read_bytes()
-    if data[:4] != MODEL_MAGIC:
-        raise ParseError("bad model magic", offset=0)
-    if len(data) < _HEADER.size:
-        raise ParseError("truncated model header", offset=len(data))
-    _, n, p, hidden, samples_seen, name = _HEADER.unpack_from(data)
-    if n < 1 or p < 1 or hidden < 1:
-        raise ParseError("model dimensions must be positive", offset=4)
-    name = name.rstrip(b"\0")
-    if name != _ACTIVATION:
-        raise ParseError(f"unknown activation {name.decode('ascii', 'replace')!r}",
-                         offset=_HEADER.size - _NAME_WIDTH)
-    # Hidden weights, bias, readout and P, in file order.
-    shapes = [(hidden, n), (hidden,), (p, hidden), (hidden, hidden)]
-    counts = [math.prod(shape) for shape in shapes]
-    expected = _HEADER.size + 8 * sum(counts)
-    if len(data) < expected:
-        raise ParseError("truncated model payload", offset=len(data))
-    if len(data) > expected:
-        raise ParseError("trailing bytes after model payload", offset=expected)
-    flat = np.frombuffer(data, "<f8", sum(counts), _HEADER.size)
-    # Each array gets its own aligned copy, as a freshly drawn state has.
-    weights, bias, readout, inv_gram = (
-        part.reshape(shape).copy()
-        for part, shape in zip(np.split(flat, np.cumsum(counts)[:-1]), shapes)
-    )
-    if inv_gram.tobytes() != inv_gram.T.tobytes():
-        raise ParseError("accumulator P is not symmetric",
-                         offset=expected - 8 * counts[3])
-    weights.setflags(write=False)
-    bias.setflags(write=False)
-    return ElmState(
-        hidden_weights=weights,
-        hidden_bias=bias,
-        readout=readout,
-        inv_gram=inv_gram,
-        samples_seen=samples_seen,
-    )

@@ -58,7 +58,6 @@ from .world import (
 SYNTHETIC_SOURCE = "synthetic"
 _SYNTHETIC_SIZE = 512
 FINAL_ERROR_WINDOW = 100
-ERROR_CURVE_WINDOW = 100
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,6 @@ class Metrics:
     unique_positions: int
     bbox_area: int  # trajectory bounding box, in cells
     action_histogram: dict[MotorCommand, int]
-    mean_error_curve: np.ndarray  # sliding mean, window ERROR_CURVE_WINDOW
 
     @property
     def stay_fraction(self) -> float:
@@ -562,16 +560,11 @@ def _metrics(xs: Sequence[int], ys: Sequence[int], commands: Sequence[MotorComma
     # count compares by identity first, in C; a dict update per step would
     # hash each command in Python.
     histogram = {cmd: commands.count(cmd) for cmd in MotorCommand}
-    cumulative = np.concatenate([[0.0], np.cumsum(errors)])
-    idx = np.arange(len(errors))
-    lo = np.maximum(0, idx - (ERROR_CURVE_WINDOW - 1))
-    curve = (cumulative[idx + 1] - cumulative[lo]) / (idx + 1 - lo)
     return Metrics(
         final_error=final_error,
         unique_positions=unique_positions,
         bbox_area=bbox_area,
         action_histogram=histogram,
-        mean_error_curve=curve,
     )
 
 

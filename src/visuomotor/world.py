@@ -360,18 +360,16 @@ def load_image(data: bytes) -> WorldImage:
     return WorldImage._adopt(values.reshape(height, width))
 
 
-def quantize(values: np.ndarray, maxval: int = 255) -> np.ndarray:
-    """Clamp intensities to [0, 1] and quantize round-half-up."""
+def quantize(values: np.ndarray) -> np.ndarray:
+    """Clamp intensities to [0, 1] and quantize round-half-up to 0..255."""
     clipped = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
-    return np.floor(clipped * maxval + 0.5).astype(np.uint16 if maxval > 255 else np.uint8)
+    return np.floor(clipped * 255 + 0.5).astype(np.uint8)
 
 
-def to_pgm_p2(image: WorldImage, maxval: int = 255) -> bytes:
-    """Serialise to ASCII PGM, one image row per line."""
-    if maxval < 1 or maxval > 65535:
-        raise ConfigError("maxval must be in 1..65535")
-    q = quantize(image.pixels, maxval)
-    lines = [b"P2", f"{image.width} {image.height}".encode(), str(maxval).encode()]
+def to_pgm_p2(image: WorldImage) -> bytes:
+    """Serialise to ASCII PGM with maxval 255, one image row per line."""
+    q = quantize(image.pixels)
+    lines = [b"P2", f"{image.width} {image.height}".encode(), b"255"]
     lines.extend(b" ".join(str(v).encode() for v in row) for row in q)
     return b"\n".join(lines) + b"\n"
 

@@ -9,7 +9,6 @@ solved on.
 """
 
 import math
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -24,16 +23,13 @@ from visuomotor.elm import (
     forward,
     hidden_into,
     init_elm,
-    load_model,
     predict,
     prediction_error,
     rls_update,
     saturating,
-    save_model,
     update_online,
 )
-from visuomotor.errors import ConfigError, DimensionError, NumericError, ParseError
-from visuomotor.harness import default_config, run_experiment
+from visuomotor.errors import ConfigError, DimensionError, NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -660,179 +656,3 @@ def test_error_nonnegative_and_zero_only_when_equal():
 def test_error_length_mismatch():
     with pytest.raises(DimensionError):
         prediction_error(np.zeros(3), np.zeros(4))
-
-
-# ---------------------------------------------------------------------------
-# Model dump
-
-
-def test_model_round_trip(tmp_path):
-    config = small_config(input_dim=5, output_dim=3, hidden_count=4)
-    state = init_elm(config)
-    rng = np.random.default_rng(60)
-    for pair in make_pairs(10, rng, input_dim=5, output_dim=3):
-        state = update_online(state, pair)
-    path = tmp_path / "model.elm"
-    save_model(state, path)
-    loaded = load_model(path)
-    assert np.array_equal(loaded.hidden_weights, state.hidden_weights)
-    assert np.array_equal(loaded.hidden_bias, state.hidden_bias)
-    assert np.array_equal(loaded.readout, state.readout)
-    # Loaded models predict identically.
-    frame = rng.uniform(0, 1, 3)
-    velocity = rng.uniform(-1, 1, 2)
-    assert np.array_equal(
-        predict(loaded, frame, velocity), predict(state, frame, velocity)
-    )
-
-
-def test_model_resumes_training_bit_identically(tmp_path):
-    config = ElmConfig(input_dim=6, output_dim=3, hidden_count=8, seed=5)
-    state = init_elm(config)
-    rng = np.random.default_rng(61)
-    for pair in make_pairs(7, rng):
-        state = update_online(state, pair)
-    path = tmp_path / "model.elm"
-    save_model(state, path)
-    loaded = load_model(path)
-    assert loaded.samples_seen == 7
-    assert loaded.inv_gram.tobytes() == state.inv_gram.tobytes()
-    assert not loaded.hidden_weights.flags.writeable
-    assert not loaded.hidden_bias.flags.writeable
-    pair = make_pairs(1, rng)[0]
-    resumed, original = update_online(loaded, pair), update_online(state, pair)
-    assert resumed.readout.tobytes() == original.readout.tobytes()
-    assert resumed.inv_gram.tobytes() == original.inv_gram.tobytes()
-    assert resumed.samples_seen == original.samples_seen == 8
-
-
-def test_model_keeps_tanh_activation(tmp_path):
-    # Older builds kept a tanh network's activation name in its file. The
-    # network is logistic only now, so such a file no longer loads.
-    path = tmp_path / "tanh.elm"
-    save_model(init_elm(small_config()), path)
-    raw = bytearray(path.read_bytes())
-    raw[36:52] = b"tanh".ljust(16, b"\0")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ParseError, match="tanh") as info:
-        load_model(path)
-    assert info.value.offset == 36
-
-
-def test_model_from_a_closed_loop_run_round_trips(tmp_path):
-    # The readout and P of a real run, which 300 updates on saturated hidden
-    # responses have moved far from their start, not a toy state.
-    result = run_experiment(
-        default_config("maxlp", 1, steps=300, camera=8, hidden_count=10)
-    )
-    assert result.valid
-    state = result.elm_state
-    path = tmp_path / "run.elm"
-    save_model(state, path)
-    loaded = load_model(path)
-    for name in ("hidden_weights", "hidden_bias", "readout", "inv_gram"):
-        saved, back = getattr(state, name), getattr(loaded, name)
-        assert back.shape == saved.shape
-        assert back.tobytes() == saved.tobytes(), name
-    assert loaded.samples_seen == state.samples_seen == 300
-    rng = np.random.default_rng(63)
-    pair = (np.concatenate([rng.uniform(0, 1, 64), [1.0, 0.0]]), rng.uniform(0, 1, 64))
-    resumed, original = update_online(loaded, pair), update_online(state, pair)
-    assert resumed.readout.tobytes() == original.readout.tobytes()
-    assert resumed.inv_gram.tobytes() == original.inv_gram.tobytes()
-
-
-def test_model_file_layout(tmp_path):
-    state = manual_state(
-        [[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0], [[7.0, 8.0]]
-    )
-    state.samples_seen = 9
-    path = tmp_path / "layout.elm"
-    save_model(state, path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"ELM2"
-    n, p, hidden, samples_seen = struct.unpack("<4Q", raw[4:36])
-    assert (n, p, hidden, samples_seen) == (2, 1, 2, 9)
-    assert raw[36:52] == b"logistic" + b"\0" * 8
-    floats = struct.unpack("<12d", raw[52:])
-    # Weights, bias, readout, then P (the identity in manual_state).
-    assert floats == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1.0, 0.0, 0.0, 1.0)
-
-
-def test_model_bad_inputs(tmp_path):
-    path = tmp_path / "bad.elm"
-    path.write_bytes(b"NOPE" + b"\0" * 64)
-    with pytest.raises(ParseError):
-        load_model(path)
-    good = tmp_path / "short.elm"
-    state = init_elm(small_config())
-    save_model(state, good)
-    truncated = good.read_bytes()[:-8]
-    short = tmp_path / "trunc.elm"
-    short.write_bytes(truncated)
-    with pytest.raises(ParseError):
-        load_model(short)
-
-
-def test_model_trailing_bytes_are_rejected_at_the_payload_end(tmp_path):
-    state = init_elm(small_config())
-    path = tmp_path / "model.elm"
-    save_model(state, path)
-    exact = path.read_bytes()
-    loaded = load_model(path)  # a file of exact length loads
-    assert loaded.readout.tobytes() == state.readout.tobytes()
-    assert loaded.inv_gram.tobytes() == state.inv_gram.tobytes()
-    path.write_bytes(exact + b"junk")
-    with pytest.raises(ParseError, match="trailing bytes") as info:
-        load_model(path)
-    assert info.value.offset == len(exact)
-
-
-def test_model_asymmetric_inv_gram_is_rejected_at_its_field(tmp_path):
-    config = ElmConfig(input_dim=6, output_dim=3, hidden_count=4, seed=5)
-    state = init_elm(config)
-    for pair in make_pairs(5, np.random.default_rng(62)):
-        state = update_online(state, pair)
-    path = tmp_path / "model.elm"
-    save_model(state, path)
-    raw = bytearray(path.read_bytes())
-    p_offset = 52 + 8 * (4 * 6 + 4 + 3 * 4)  # after weights, bias, readout
-    assert raw[p_offset:] == state.inv_gram.astype("<f8").tobytes()
-
-    def p_entry(i, j):
-        return p_offset + 8 * (4 * i + j)
-
-    # Flip the lowest mantissa bit of P[0, 1] alone: no longer symmetric.
-    edited = raw.copy()
-    edited[p_entry(0, 1)] ^= 1
-    path.write_bytes(bytes(edited))
-    with pytest.raises(ParseError, match="symmetric") as info:
-        load_model(path)
-    assert info.value.offset == p_offset
-    # The same edit on P[1, 0] as well keeps P symmetric, and it loads.
-    edited[p_entry(1, 0)] ^= 1
-    path.write_bytes(bytes(edited))
-    loaded = load_model(path)
-    assert loaded.inv_gram[0, 1] == loaded.inv_gram[1, 0] != state.inv_gram[0, 1]
-
-
-def test_model_elm1_file_is_rejected_at_offset_0(tmp_path):
-    # The old layout: magic, three dimensions, weights, bias and readout.
-    path = tmp_path / "old.elm"
-    path.write_bytes(
-        b"ELM1" + struct.pack("<QQQ", 2, 1, 2) + struct.pack("<8d", *range(8))
-    )
-    with pytest.raises(ParseError) as info:
-        load_model(path)
-    assert info.value.offset == 0
-
-
-def test_model_unknown_activation_is_rejected_at_its_field(tmp_path):
-    path = tmp_path / "relu.elm"
-    save_model(init_elm(small_config()), path)
-    raw = bytearray(path.read_bytes())
-    raw[36:52] = b"relu".ljust(16, b"\0")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ParseError, match="relu") as info:
-        load_model(path)
-    assert info.value.offset == 36
