@@ -19,7 +19,8 @@ responses to one input or to a stack of inputs, ``forecast_into`` the
 forecast from a response, and ``rls_update`` folds one residual into the
 readout and the accumulator. They write only into their ``out``
 arguments, a ``Workspace`` and the state, so the closed loop allocates
-its buffers once per run and its steps allocate no array data. Each
+its buffers once per run, each run's rows in a cell of its own, and its
+steps allocate no array data. Each
 kernel's result is the same bits as the expression with fresh arrays it
 replaces; its docstring says why, and ``tests/test_elm.py`` checks each
 assumption. The kernels check nothing and run under ``saturating()``.

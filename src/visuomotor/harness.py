@@ -6,9 +6,12 @@ the forecast, train online, log. In a comparison, the runs of one master
 seed see the same scene, hidden layer and sensor noise, so that only the
 control policy differs between them. They share one draw of each and run
 in lockstep (``_run_lockstep``), and each run's trace is the same bits as
-that run's alone. Random babbling (RM) never reads the errors, so its
-run is planned at its start and sensed a noise block at a time
-(``_Cell``); only its learning runs per step.
+that run's alone. Each run senses every frame, the window plus a frame
+of the group's noise block (all zero at sigma 0), into rows of its own
+(``_Cell``): a reactive run senses its input and target rows each step,
+and random babbling (RM), which never reads the errors, is planned at
+its start and senses a noise block's rows at a time. Every run then
+learns alike from its row, one step at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .elm import (
 from .errors import ConfigError, NumericError
 from .world import (
     COMMANDS,
-    NOISE_BLOCK_FRAMES,
     CameraState,
     MotorCommand,
     NoiseModel,
@@ -216,6 +218,9 @@ def run_experiment(
     return _run_result(config, *_outcome(cell))
 
 
+# Frames of sensor noise the closed loop draws in one call: two per step,
+# 256 KB at a 32x32 camera.
+NOISE_BLOCK_FRAMES = 32
 _BLOCK_STEPS = NOISE_BLOCK_FRAMES // 2  # the steps one noise block serves
 # Row i is the (vx, vy) of command code i, the command COMMANDS[i].
 _VELOCITY_ROWS = np.array([command_to_velocity(c) for c in COMMANDS])
@@ -254,15 +259,22 @@ def _clamped_walk(start: int, moves: np.ndarray, upper: int) -> np.ndarray:
 
 class _Cell:
     """What a run in a lockstep group does not share with the others: its
-    model, controller, camera and trace columns.
+    model, controller, camera, rows and trace columns.
 
-    A reactive run keeps an error history and logs its camera and command
-    as each step completes. A babbling (RM) run keeps none: it draws its
-    command codes and clamps its whole path when it is built, so its
-    ``commands`` and its ``cam_x``/``cam_y`` columns are complete from the
-    start and only ``done`` steps of them count. For each noise block,
-    ``fill_block`` writes the block's input and target rows into ``rows``
-    and their hidden responses into ``hidden``.
+    Row (j, 0) of ``rows`` is an input, the frame then the velocity, and
+    row (j, 1) holds its target frame, which ``targets[j]`` views flat.
+    ``frames`` views the rows' frames in the window's shape, in the order
+    they are sensed, and ``hidden[j]`` (``hiddens[j]``) holds the hidden
+    response to input j.
+
+    A reactive run has one pair of rows, which each step senses into. It
+    keeps an error history and logs its camera and command as each step
+    completes. A babbling (RM) run has a pair for each step of a noise
+    block and keeps no history: it draws its command codes and clamps its
+    whole path when it is built, so its ``commands`` and its
+    ``cam_x``/``cam_y`` columns are complete from the start and only
+    ``done`` steps of them count. For each noise block, ``fill_block``
+    writes the block's rows and their hidden responses.
     """
 
     __slots__ = ("kind", "controller", "history", "rng", "state", "left", "top",
@@ -292,16 +304,7 @@ class _Cell:
             self.frame_tops = np.repeat(tops, 2)[1:-1]
             self.cam_x = self.frame_lefts[1::2]
             self.cam_y = self.frame_tops[1::2]
-            w, h = config.window_w, config.window_h
-            # Row (j, 0) is step j's input, the frame then the velocity;
-            # row (j, 1) holds its target frame.
-            self.rows = np.empty((_BLOCK_STEPS, 2, w * h + 2))
-            self.frames = self.rows.reshape(NOISE_BLOCK_FRAMES, -1)[:, :-2].reshape(
-                NOISE_BLOCK_FRAMES, h, w
-            )
-            self.hidden = np.empty((_BLOCK_STEPS, state.hidden_count))
-            self.hiddens = list(self.hidden)
-            self.targets = list(self.frames[1::2])
+            count = _BLOCK_STEPS
         else:
             self.history = ErrorHistory(
                 capacity=controller.window + controller.em_window
@@ -311,33 +314,36 @@ class _Cell:
             self.cam_x = np.empty(steps, dtype=np.int64)
             self.cam_y = np.empty(steps, dtype=np.int64)
             self.commands: list[MotorCommand] = []
+            count = 1
+        w, h = config.window_w, config.window_h
+        self.rows = np.empty((count, 2, w * h + 2))
+        self.frames = self.rows.reshape(2 * count, -1)[:, :-2].reshape(2 * count, h, w)
+        self.hidden = np.empty((count, state.hidden_count))
+        self.hiddens = list(self.hidden)
+        self.targets = list(self.rows[:, 1, :-2])
         self.errors = np.empty(steps)  # step t's error, at index t
         self.done = steps  # the steps logged, once the run is over
         self.failure: str | None = None  # why the run aborted
         self.exc: Exception | None = None  # what the run raised
 
-    def fill_block(self, t: int, windows: np.ndarray, noise: np.ndarray | None) -> None:
+    def fill_block(self, t: int, windows: np.ndarray, noise: np.ndarray) -> None:
         """Fill ``rows`` and ``hidden`` for a babbling run's steps from t to
-        the noise block's end.
+        the noise block's end or the run's.
 
         ``windows`` is the scene's (top, left, height, width) window view
-        and ``noise`` the block's noise frames, or None with sigma 0. The
-        windows before and after each of the block's moves are gathered in
-        one index and sensed in one ``_sense``, which is elementwise, so
-        each frame has the bits of its own ``_sense``. The block's hidden
-        responses come from one ``hidden_into`` on the stack of input rows,
-        which gives each row the bits of its input alone.
+        and ``noise`` the block's noise frames. The windows before and after
+        each of the block's moves are gathered in one index and sensed in
+        one ``_sense``, which is elementwise, so each frame has the bits of
+        its own ``_sense``. The block's hidden responses come from one
+        ``hidden_into`` on the stack of input rows, which gives each row the
+        bits of its input alone.
         """
         block = slice(2 * t, 2 * t + NOISE_BLOCK_FRAMES)
         seen = windows[self.frame_tops[block], self.frame_lefts[block]]
         count = len(seen) // 2
         rows = self.rows[:count]
         rows[:, 0, -2:] = _VELOCITY_ROWS[self.codes[t : t + count]]
-        frames = self.frames[: 2 * count]
-        if noise is None:
-            frames[...] = seen
-        else:
-            _sense(seen, noise[: 2 * count], frames)
+        _sense(seen, noise[: 2 * count], self.frames[: 2 * count])
         hidden_into(self.state, rows[:, 0], self.hidden[:count])
 
 
@@ -357,17 +363,23 @@ def _run_lockstep(
     ``observe``, ``predict``, ``apply_motor``, ``prediction_error`` and
     ``update_online``:
 
-    - The frame is sensed straight into the input vector's first part and
-      the velocity written into the last two entries, so nothing is
-      concatenated. Sensing is ``observe``'s ``_sense``.
-    - The sensor noise for ``NOISE_BLOCK_FRAMES // 2`` steps is drawn in
-      one ``standard_normal(out=)`` call and scaled by sigma in place.
-      ``observe``'s ``normal(0, sigma)`` computes 0 + sigma z, which is
-      sigma z, and one draw of k n values yields the values of k
-      consecutive draws of n. With sigma 0 nothing is drawn. The sensed
-      target goes into a scratch buffer, and a babbling run's frames into
-      its own rows, never into the block, which the group's later runs
+    - Every frame is sensed by ``observe``'s ``_sense`` straight into a
+      row of the run's own (see ``_Cell``), and the velocity is written
+      into the input row's last two entries, so nothing is concatenated.
+      No run writes into the noise block, which the group's later runs
       still read.
+    - The noise block, two frames for each of ``_BLOCK_STEPS`` steps, is
+      allocated once, zeroed. With sigma above 0 it is refilled at each
+      block's start by one ``standard_normal(out=)`` call and scaled by
+      sigma in place. ``observe``'s ``normal(0, sigma)`` computes
+      0 + sigma z, which is sigma z, and one draw of k n values yields the
+      values of k consecutive draws of n. With sigma 0 every frame is
+      sensed against +0, which returns the pixel, as ``observe`` does,
+      except that a -0 pixel becomes +0. The sign of a zero in a frame
+      reaches nothing logged or learned: a bias is added to every hidden
+      sum, errors are squares, and a readout entry, which starts at +0,
+      never holds -0, since adding a zero of either sign to +0 gives +0.
+      The accumulator P never reads a frame.
     - The camera is two ints, clamped as ``apply_motor`` clamps them; the
       check that the window fits the image is made once, up front.
     - A babbling (RM) run draws its command codes at the start, as
@@ -375,15 +387,16 @@ def _run_lockstep(
       no history, and clamps its whole path once, as the steps would
       (``_clamped_walk``). Its frames and hidden responses come a noise
       block at a time from ``_Cell.fill_block``. A position or command
-      known ahead counts only once its step completes.
-    - Every run then learns alike, from a hidden response: the forecast,
-      the score and the update share it. A reactive run computes it per
-      step into a buffer of the group's; a babbling run reads its row of
-      the block's responses, uncopied. The residual ``target - forecast`` is
-      computed once: the error is ``r . r / n``, equal to
-      ``prediction_error`` because negation is exact, and ``rls_update``
-      trains on it in place. Each run's step has finished with the shared
-      buffers before the next run's starts.
+      known ahead counts only once its step completes. A reactive run
+      senses, chooses and computes its hidden response per step, into its
+      one pair of rows.
+    - Every run then learns alike, from its row's hidden response, read
+      uncopied: the forecast, the score and the update share it. The
+      residual ``target - forecast`` is computed once: the error is
+      ``r . r / n``, equal to ``prediction_error`` because negation is
+      exact, and ``rls_update`` trains on it in place. Each run's step has
+      finished with the group's forecast and residual buffers before the
+      next run's starts.
     - The floating-point context of the ELM kernels is entered once per
       group.
 
@@ -406,7 +419,6 @@ def _run_lockstep(
     cam = initial_camera(world, first)
     w, h = cam.width, cam.height
     max_left, max_top = world.width - w, world.height - h
-    pixels = world.pixels
     state = init_elm(replace(first.elm, seed=elm_seed))
     states = [state] + [
         replace(state, readout=state.readout.copy(), inv_gram=state.inv_gram.copy())
@@ -419,61 +431,46 @@ def _run_lockstep(
 
     n = w * h
     work = Workspace(state)
-    x = np.empty(n + 2)
-    response = np.empty(state.hidden_count)  # a reactive step's hidden response
-    sensed = np.empty((h, w))
     forecast = np.empty(n)
     residual = np.empty(n)
-    frame = x[:n].reshape(h, w)  # views of the buffers, in the window's shape
-    forecast_2d = forecast.reshape(h, w)
-    residual_2d = residual.reshape(h, w)
-    steps = first.steps
     sigma = first.noise.sigma
-    noisy = sigma > 0.0
-    noise_block = np.empty((min(NOISE_BLOCK_FRAMES, 2 * steps), h, w))
-    noise = noise_block if noisy else None
-    windows = sliding_window_view(pixels, (h, w))  # read-only
+    noise = np.zeros((NOISE_BLOCK_FRAMES, h, w))
+    windows = sliding_window_view(world.pixels, (h, w))  # read-only
     live = cells
     with saturating():
-        for t in range(steps):
+        for t in range(first.steps):
             k = 2 * t % NOISE_BLOCK_FRAMES
-            if noisy and k == 0:
-                block = noise_block[: 2 * (steps - t)]
-                noise_rng.standard_normal(out=block)
-                block *= sigma
+            if k == 0 and sigma > 0.0:
+                noise_rng.standard_normal(out=noise)
+                noise *= sigma
             ended = False
             for cell in live:
                 try:
-                    # The step's hidden response and target frame.
+                    # The step's rows j: input, target and hidden response.
                     if cell.history is None:
                         if k == 0:
                             cell.fill_block(t, windows, noise)
-                        hidden = cell.hiddens[k // 2]
-                        target = cell.targets[k // 2]
+                        j = k // 2
                     else:
                         left, top = cell.left, cell.top
-                        window = pixels[top : top + h, left : left + w]
-                        if noisy:
-                            _sense(window, noise_block[k], frame)
-                        else:
-                            frame[...] = window
+                        frames = cell.frames
+                        _sense(windows[top, left], noise[k], frames[0])
                         command = choose_action(
                             cell.kind, cell.history, cell.controller, cell.rng
                         )
                         vx, vy = command_to_velocity(command)
+                        x = cell.rows[0, 0]
                         x[n] = vx
                         x[n + 1] = vy
                         left = min(max(left + vx, 0), max_left)
                         top = min(max(top + vy, 0), max_top)
-                        target = pixels[top : top + h, left : left + w]
-                        if noisy:
-                            _sense(target, noise_block[k + 1], sensed)
-                            target = sensed
-                        hidden = response
-                        hidden_into(cell.state, x, hidden)
+                        _sense(windows[top, left], noise[k + 1], frames[1])
+                        j = 0
+                        hidden_into(cell.state, x, cell.hiddens[0])
                     # Learn from them, the same for every controller.
+                    hidden = cell.hiddens[j]
                     forecast_into(cell.state, hidden, forecast)
-                    np.subtract(target, forecast_2d, out=residual_2d)
+                    np.subtract(cell.targets[j], forecast, out=residual)
                     error = float(np.dot(residual, residual)) / n
                     if not math.isfinite(error):
                         raise NumericError(f"prediction error is {error!r} at step {t}")

@@ -137,11 +137,6 @@ def apply_motor(
     return CameraState(left=left, top=top, width=cam.width, height=cam.height)
 
 
-# Frames of sensor noise the closed loop draws in one call: two per step,
-# 256 KB at a 32x32 camera.
-NOISE_BLOCK_FRAMES = 32
-
-
 def _sense(window: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
     """Write ``noise + window``, clamped to [0, 1], into ``out``; all three
     have one shape, a window's (height, width) or a stack of windows, and

@@ -18,6 +18,7 @@ from visuomotor import harness
 from visuomotor.controllers import ControllerConfig, ControllerKind, ErrorHistory, choose_action
 from visuomotor.errors import ConfigError, NumericError
 from visuomotor.harness import (
+    NOISE_BLOCK_FRAMES,
     ExperimentConfig,
     StepRecord,
     compute_metrics,
@@ -37,7 +38,6 @@ from visuomotor.elm import (
 )
 from visuomotor.world import (
     COMMANDS,
-    NOISE_BLOCK_FRAMES,
     MotorCommand,
     NoiseModel,
     WorldImage,
@@ -365,6 +365,29 @@ def test_run_matches_loop_of_public_functions(kind, sigma, steps):
     result = run_experiment(config, world=SMALL_SCENE)
     assert result.valid
     assert_same_run(result, *reference_run(config, SMALL_SCENE))
+
+
+def signed_zero_scene():
+    """SMALL_SCENE with a band of -0.0 columns and a row of +0.0 that every
+    6x4 window of it covers."""
+    pixels = SMALL_SCENE.pixels.copy()
+    pixels[:, 3:6] = -0.0
+    pixels[3] = 0.0
+    return WorldImage(pixels)
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_noise_free_run_matches_reference_on_signed_zero_pixels(kind):
+    # Without noise the loop senses each pixel plus +0, which turns a -0.0
+    # pixel into +0.0, while observe returns it as it is; the sign of a
+    # zero must reach no error, readout or accumulator entry.
+    scene = signed_zero_scene()
+    negative = np.signbit(scene.pixels)
+    assert negative.any() and (scene.pixels[~negative] == 0.0).any()
+    config = wide_config(kind, 2 * NOISE_BLOCK_STEPS + 3, 0.0)
+    result = run_experiment(config, world=scene)
+    assert result.valid
+    assert_same_run(result, *reference_run(config, scene))
 
 
 def test_small_scene_makes_moves_hit_the_border():
