@@ -86,8 +86,8 @@ def build_parser() -> _Parser:
     compare.add_argument("--workers", type=int, default=1,
                          help="parallel processes for the comparison grid, "
                               "at most one per cell; each runs a contiguous "
-                              "share of the seeds, one seed's controllers "
-                              "at a time, in lockstep")
+                              "share of the seed-major cells, its cells of "
+                              "each seed in lockstep")
     _add_run_flags(compare, defaults)
     return parser
 

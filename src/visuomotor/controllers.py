@@ -3,11 +3,12 @@
 Four policies map recent prediction errors to the next motor command:
 pure random babbling (RM), replaying the command with the smallest
 recent error (MinPE), the largest recent error (MaxPE), or the largest
-drop in sliding-mean error (MaxLP). The non-random policies share an
-epsilon chance of acting randomly and fall back to a random command
-whenever the history carries no usable signal. RM never reads the
-history, so a run draws its whole command sequence once, up front
-(``random_commands``).
+drop in sliding-mean error (MaxLP). The reactive policies are pure
+functions of the history, and ``choose_action`` alone draws from a
+controller's generator: for RM, for the epsilon chance of acting at
+random, and for the fallback when a policy has nothing to score. RM
+never reads the history, so a run draws its whole command sequence once,
+up front (``random_commands``).
 """
 
 from __future__ import annotations
@@ -111,41 +112,26 @@ def random_commands(rng: np.random.Generator, steps: int) -> np.ndarray:
     return rng.integers(len(COMMANDS), size=steps)
 
 
-def _epsilon_random(
-    cfg: ControllerConfig, rng: np.random.Generator
-) -> MotorCommand | None:
-    # One uniform draw per decision keeps the stream layout fixed.
-    if rng.random() < cfg.epsilon:
-        return choose_random(rng)
-    return None
-
-
 def choose_pe(
     history: ErrorHistory,
     cfg: ControllerConfig,
-    rng: np.random.Generator,
     extreme: Callable[..., HistoryRecord],
-) -> MotorCommand:
+) -> MotorCommand | None:
     """Repeat the command of the extreme error in the lookback window:
     ``extreme`` is ``min`` for MinPE and ``max`` for MaxPE.
 
-    Ties go to the most recent record; an empty history falls back to a
-    random command.
+    Ties go to the most recent record; an empty history has nothing to
+    score and gives None.
     """
-    random_pick = _epsilon_random(cfg, rng)
-    if random_pick is not None:
-        return random_pick
     recent = list(history)[-cfg.window:]
     if not recent:
-        return choose_random(rng)
+        return None
     # min and max keep the first of equal keys, so scanning newest first
     # lets the most recent record win a tie.
     return extreme(reversed(recent), key=attrgetter("error")).command
 
 
-def choose_maxlp(
-    history: ErrorHistory, cfg: ControllerConfig, rng: np.random.Generator
-) -> MotorCommand:
+def choose_maxlp(history: ErrorHistory, cfg: ControllerConfig) -> MotorCommand | None:
     """Repeat the command whose step showed the largest learning progress.
 
     Progress at record time tau is the drop in sliding-mean error,
@@ -154,8 +140,8 @@ def choose_maxlp(
     step, so with m = em_window both windows hold m errors from the ring's
     (m + 1)-th record on, and the drop is (e[tau - m] - e[tau]) / m. Before
     that both windows start at the ring's first record, which has no
-    em(tau - 1) and is skipped. With no record to score the choice is
-    random.
+    em(tau - 1) and is skipped. With fewer than two records there is
+    nothing to score, and the result is None.
 
     Ties go to the most recent record, but ties of the rounded progress
     values, not of the real ones. Below ring index m the short-window
@@ -166,14 +152,10 @@ def choose_maxlp(
     so index 2's command is chosen. Those indices are scored only while
     the ring fills, in a run's first ``window + em_window`` steps.
     """
-    random_pick = _epsilon_random(cfg, rng)
-    if random_pick is not None:
-        return random_pick
     records = list(history)
-    if len(records) < 2:
-        return choose_random(rng)
     errors = [r.error for r in records]
     m = cfg.em_window
+    best_command = None
     best_progress = -math.inf
     for i in range(max(1, len(records) - cfg.window), len(records)):
         if i >= m:
@@ -193,11 +175,19 @@ def choose_action(
     cfg: ControllerConfig,
     rng: np.random.Generator,
 ) -> MotorCommand:
-    """Dispatch to the policy for ``kind``. RM ignores the history."""
+    """The next command for ``kind``, from the only draws a controller makes.
+
+    RM ignores the history and makes one integer draw (``choose_random``).
+    Every other kind makes one uniform draw, then one integer draw only
+    when that falls below epsilon or its policy returns None.
+    """
     kind = ControllerKind(kind)
-    if kind is ControllerKind.RM:
+    if kind is ControllerKind.RM or rng.random() < cfg.epsilon:
         return choose_random(rng)
     if kind is ControllerKind.MAXLP:
-        return choose_maxlp(history, cfg, rng)
-    extreme = min if kind is ControllerKind.MINPE else max
-    return choose_pe(history, cfg, rng, extreme)
+        command = choose_maxlp(history, cfg)
+    else:
+        command = choose_pe(history, cfg, min if kind is ControllerKind.MINPE else max)
+    if command is None:
+        return choose_random(rng)
+    return command

@@ -213,7 +213,7 @@ def run_experiment(
     raising. Any other exception raised inside the loop propagates.
     """
     [cell] = _run_lockstep([config], world)
-    if cell.exc is not None:
+    if cell.exc is not None and not isinstance(cell.exc, NumericError):
         raise cell.exc
     return _run_result(config, *_outcome(cell))
 
@@ -274,24 +274,24 @@ class _Cell:
     whole path when it is built, so its ``commands`` and its
     ``cam_x``/``cam_y`` columns are complete from the start and only
     ``done`` steps of them count. For each noise block, ``fill_block``
-    writes the block's rows and their hidden responses.
+    writes the block's rows and their hidden responses. A failed step
+    leaves what it raised in ``exc``, the run's one failure slot.
     """
 
-    __slots__ = ("kind", "controller", "history", "rng", "state", "left", "top",
+    __slots__ = ("controller", "history", "rng", "state", "left", "top",
                  "codes", "frame_lefts", "frame_tops", "rows", "frames",
                  "hidden", "hiddens", "targets",
-                 "cam_x", "cam_y", "errors", "commands", "done", "failure", "exc")
+                 "cam_x", "cam_y", "errors", "commands", "done", "exc")
 
     def __init__(self, config: ExperimentConfig, state: ElmState,
                  rng: np.random.Generator, cam: CameraState,
                  max_left: int, max_top: int):
         controller = config.controller
         steps = config.steps
-        self.kind = controller.kind
         self.controller = controller
         self.rng = rng
         self.state = state
-        if self.kind is ControllerKind.RM:
+        if controller.kind is ControllerKind.RM:
             self.history = None
             self.codes = random_commands(rng, steps)
             self.commands = [COMMANDS[i] for i in self.codes.tolist()]
@@ -323,8 +323,7 @@ class _Cell:
         self.targets = list(self.rows[:, 1, :-2])
         self.errors = np.empty(steps)  # step t's error, at index t
         self.done = steps  # the steps logged, once the run is over
-        self.failure: str | None = None  # why the run aborted
-        self.exc: Exception | None = None  # what the run raised
+        self.exc: Exception | None = None  # what a failed step raised
 
     def fill_block(self, t: int, windows: np.ndarray, noise: np.ndarray) -> None:
         """Fill ``rows`` and ``hidden`` for a babbling run's steps from t to
@@ -400,9 +399,9 @@ def _run_lockstep(
     - The floating-point context of the ELM kernels is entered once per
       group.
 
-    A run whose step fails leaves the group, and the others go on as if
-    alone: an abort (see ``run_experiment``) sets the cell's ``failure``,
-    and any other exception is kept, unraised, in its ``exc``.
+    A run whose step raises leaves the group, and the others go on as if
+    alone: the cell keeps the exception, an abort (see ``run_experiment``)
+    or any other, unraised in ``exc``, and the steps before it in ``done``.
     """
     first = configs[0]
     if any(replace(c, controller=first.controller) != first for c in configs):
@@ -455,9 +454,8 @@ def _run_lockstep(
                         left, top = cell.left, cell.top
                         frames = cell.frames
                         _sense(windows[top, left], noise[k], frames[0])
-                        command = choose_action(
-                            cell.kind, cell.history, cell.controller, cell.rng
-                        )
+                        command = choose_action(cell.controller.kind, cell.history,
+                                                cell.controller, cell.rng)
                         vx, vy = command_to_velocity(command)
                         x = cell.rows[0, 0]
                         x[n] = vx
@@ -475,24 +473,18 @@ def _run_lockstep(
                     if not math.isfinite(error):
                         raise NumericError(f"prediction error is {error!r} at step {t}")
                     rls_update(cell.state, work, residual, hidden)
-                    if cell.history is not None:
+                    cell.errors[t] = error
+                    if cell.history is not None:  # RM's columns are set up front
                         cell.history.append(t, command, error)
-                except NumericError as exc:
-                    cell.failure = str(exc)
-                    cell.done = t
-                    ended = True
-                    continue
+                        cell.commands.append(command)
+                        cell.left = cell.cam_x[t] = left
+                        cell.top = cell.cam_y[t] = top
                 except Exception as exc:  # noqa: BLE001 - one run cannot sink the group
                     cell.exc = exc
+                    cell.done = t
                     ended = True
-                    continue
-                cell.errors[t] = error
-                if cell.history is not None:  # a babbling run's are set up front
-                    cell.commands.append(command)
-                    cell.left = cell.cam_x[t] = left
-                    cell.top = cell.cam_y[t] = top
             if ended:
-                live = [c for c in live if c.failure is None and c.exc is None]
+                live = [c for c in live if c.exc is None]
                 if not live:
                     break
     return cells
@@ -500,13 +492,15 @@ def _run_lockstep(
 
 def _outcome(cell: _Cell) -> tuple:
     """A finished cell as (trace columns, model, failure): what a pool
-    worker sends back. A cell that raised sends neither columns nor model."""
-    if cell.exc is not None:
-        return None, None, _describe(cell.exc)
+    worker sends back. An abort's failure is its ``NumericError``'s text;
+    a cell that raised anything else sends neither columns nor model."""
+    exc = cell.exc
+    if exc is not None and not isinstance(exc, NumericError):
+        return None, None, _describe(exc)
     done = cell.done
     columns = (cell.cam_x[:done], cell.cam_y[:done], cell.errors[:done],
                cell.commands[:done])
-    return columns, cell.state, cell.failure
+    return columns, cell.state, None if exc is None else str(exc)
 
 
 def _describe(exc: Exception) -> str:

@@ -117,14 +117,15 @@ def test_random_commands_equal_choose_random_calls(drawn_before, seed, steps):
 def test_minpe_picks_smallest_error():
     history = history_of((1, L, 0.5), (2, R, 0.1), (3, U, 0.3))
     cfg = config_for(ControllerKind.MINPE)
-    assert choose_pe(history, cfg, np.random.default_rng(0), min) == R
+    assert choose_pe(history, cfg, min) == R
 
 
 def test_minpe_empty_history_falls_back_to_random():
     history = ErrorHistory(capacity=8)
     cfg = config_for(ControllerKind.MINPE)
+    assert choose_pe(history, cfg, min) is None
     seen = {
-        choose_pe(history, cfg, np.random.default_rng(seed), min)
+        choose_action(cfg.kind, history, cfg, np.random.default_rng(seed))
         for seed in range(50)
     }
     assert seen <= set(COMMANDS)
@@ -134,26 +135,26 @@ def test_minpe_empty_history_falls_back_to_random():
 def test_minpe_tie_goes_to_most_recent():
     history = history_of((1, L, 0.2), (2, R, 0.2))
     cfg = config_for(ControllerKind.MINPE)
-    assert choose_pe(history, cfg, np.random.default_rng(0), min) == R
+    assert choose_pe(history, cfg, min) == R
 
 
 def test_minpe_respects_window():
     # The global minimum sits outside the lookback window.
     history = history_of((1, S, 0.01), (2, L, 0.5), (3, R, 0.4))
     cfg = config_for(ControllerKind.MINPE, window=2)
-    assert choose_pe(history, cfg, np.random.default_rng(0), min) == R
+    assert choose_pe(history, cfg, min) == R
 
 
 def test_maxpe_picks_largest_error():
     history = history_of((1, L, 0.5), (2, R, 0.1), (3, U, 0.3))
     cfg = config_for(ControllerKind.MAXPE)
-    assert choose_pe(history, cfg, np.random.default_rng(0), max) == L
+    assert choose_pe(history, cfg, max) == L
 
 
 def test_maxpe_all_equal_gives_most_recent():
     history = history_of((1, L, 0.25), (2, R, 0.25), (3, D, 0.25))
     cfg = config_for(ControllerKind.MAXPE)
-    assert choose_pe(history, cfg, np.random.default_rng(0), max) == D
+    assert choose_pe(history, cfg, max) == D
 
 
 def test_maxpe_epsilon_one_is_uniform():
@@ -163,7 +164,7 @@ def test_maxpe_epsilon_one_is_uniform():
     counts = {cmd: 0 for cmd in COMMANDS}
     draws = 100_000
     for _ in range(draws):
-        counts[choose_pe(history, cfg, rng, max)] += 1
+        counts[choose_action(ControllerKind.MAXPE, history, cfg, rng)] += 1
     for cmd in COMMANDS:
         assert 0.19 <= counts[cmd] / draws <= 0.21
 
@@ -181,13 +182,9 @@ def test_minpe_maxpe_agree_with_scan_oracle():
             )
         expected_min = scan_oracle(history, cfg.window, "min")
         expected_max = scan_oracle(history, cfg.window, "max")
-        got_min = choose_pe(history, cfg, np.random.default_rng(0), min)
-        got_max = choose_pe(history, cfg, np.random.default_rng(0), max)
-        if expected_min is None:
-            assert got_min in COMMANDS and got_max in COMMANDS
-        else:
-            assert got_min == expected_min
-            assert got_max == expected_max
+        # On an empty window both return None, as the oracle does.
+        assert choose_pe(history, cfg, min) == expected_min
+        assert choose_pe(history, cfg, max) == expected_max
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +197,13 @@ def test_maxlp_hand_computed_example():
     # progress: LP(2)=0.1, LP(3)=0.1, LP(4)=0.05 -> tie broken to t=3.
     history = history_of((1, L, 0.4), (2, R, 0.2), (3, U, 0.2), (4, D, 0.1))
     cfg = config_for(ControllerKind.MAXLP, em_window=2)
-    assert choose_maxlp(history, cfg, np.random.default_rng(0)) == U
+    assert choose_maxlp(history, cfg) == U
 
 
 def test_maxlp_constant_errors_gives_most_recent():
     history = history_of((1, L, 0.5), (2, R, 0.5), (3, U, 0.5), (4, D, 0.5))
     cfg = config_for(ControllerKind.MAXLP, em_window=2)
-    assert choose_maxlp(history, cfg, np.random.default_rng(0)) == D
+    assert choose_maxlp(history, cfg) == D
 
 
 def test_maxlp_increasing_errors_picks_least_negative():
@@ -215,14 +212,15 @@ def test_maxlp_increasing_errors_picks_least_negative():
     # LP(2)=-0.05, LP(3)=-0.10, LP(4)=-0.10 -> argmax is t=2.
     history = history_of((1, L, 0.1), (2, R, 0.2), (3, U, 0.3), (4, D, 0.4))
     cfg = config_for(ControllerKind.MAXLP, em_window=2)
-    assert choose_maxlp(history, cfg, np.random.default_rng(0)) == R
+    assert choose_maxlp(history, cfg) == R
 
 
 def test_maxlp_insufficient_history_falls_back_to_random():
     cfg = config_for(ControllerKind.MAXLP, em_window=2)
     for history in (ErrorHistory(capacity=8), history_of((1, D, 0.9))):
+        assert choose_maxlp(history, cfg) is None
         seen = {
-            choose_maxlp(history, cfg, np.random.default_rng(seed))
+            choose_action(cfg.kind, history, cfg, np.random.default_rng(seed))
             for seed in range(40)
         }
         assert seen <= set(COMMANDS)
@@ -291,8 +289,8 @@ def test_maxlp_matches_exact_progress(
     history = ErrorHistory(capacity=capacity)
     # As in the closed loop: choose from the history so far, then append.
     for t, (cmd, err) in enumerate(steps, start):
-        assert choose_maxlp(history, cfg, rng) in exact_maxlp_commands(
-            history, cfg, oracle_rng
+        assert choose_action(ControllerKind.MAXLP, history, cfg, rng) in (
+            exact_maxlp_commands(history, cfg, oracle_rng)
         )
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         history.append(t, COMMANDS[cmd], err)
@@ -303,12 +301,17 @@ def test_maxlp_matches_exact_progress(
 
 
 def test_dispatch_rm_matches_choose_random_stream():
-    cfg = config_for(ControllerKind.RM)
+    # RM takes no uniform draw, even at epsilon 1: its stream is
+    # choose_random's alone.
     history = history_of((1, L, 0.9))
-    for seed in range(20):
-        assert choose_action(
-            ControllerKind.RM, history, cfg, np.random.default_rng(seed)
-        ) == choose_random(np.random.default_rng(seed))
+    for epsilon in (0.0, 1.0):
+        cfg = config_for(ControllerKind.RM, epsilon=epsilon)
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert choose_action(ControllerKind.RM, history, cfg, rng) == choose_random(
+                ref_rng
+            )
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_dispatch_minpe_singleton_history():
@@ -408,9 +411,7 @@ def test_maxlp_scaling_preserves_choices():
             err = float(rng.integers(0, 256)) / 256.0
             plain.append(t, cmd, err)
             scaled.append(t, cmd, 4.0 * err)
-        assert choose_maxlp(plain, cfg, np.random.default_rng(1)) == choose_maxlp(
-            scaled, cfg, np.random.default_rng(1)
-        )
+        assert choose_maxlp(plain, cfg) == choose_maxlp(scaled, cfg)
 
 
 # ---------------------------------------------------------------------------
