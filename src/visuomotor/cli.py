@@ -245,6 +245,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError("--seeds needs at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"--seeds repeats a seed: {args.seeds!r}")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds needs non-negative seeds: {args.seeds!r}")
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     base = _config_from_args(args, ControllerKind.RM, seeds[0])
@@ -254,8 +256,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for (kind, seed), result in comparison.results.items():
         write_trace_csv(result, out_dir / f"trace_{kind.value}_{seed}.csv")
     write_summary(comparison, out_dir / "summary.csv")
-    failed = [(kind.value, seed) for (kind, seed), r in comparison.results.items()
-              if not r.valid]
+    failed = {(kind.value, seed): r.failure
+              for (kind, seed), r in comparison.results.items() if not r.valid}
     for kind, summary in comparison.summary.items():
         print(f"{kind.value}: median_final_error="
               f"{_format_float(summary.median_final_error)} "
@@ -264,7 +266,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               f"median_stay_fraction={summary.median_stay_fraction:.3f}")
     print(f"summary: {out_dir / 'summary.csv'}")
     if failed:
-        print(f"failed cells: {failed}", file=sys.stderr)
+        print(f"failed cells: {list(failed)}", file=sys.stderr)
+        for (kind, seed), failure in failed.items():
+            reason = failure.partition("\n")[0]
+            print(f"failed cell {kind}/{seed}: {reason}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

@@ -11,7 +11,8 @@ of the group's noise block (all zero at sigma 0), into rows of its own
 (``_Cell``): a reactive run senses its input and target rows each step,
 and random babbling (RM), which never reads the errors, is planned at
 its start and senses a noise block's rows at a time. Every run then
-learns alike from its row, one step at a time.
+learns alike from its row, one step at a time, and logs its path,
+command codes and errors in arrays of one layout.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def run_experiment(
     logged; the partial trace comes back flagged invalid instead of
     raising. Any other exception raised inside the loop propagates.
     """
-    [cell] = _run_lockstep([config], world)
+    [cell] = _run_lockstep(config, [config.controller], world)
     if cell.exc is not None and not isinstance(cell.exc, NumericError):
         raise cell.exc
     return _run_result(config, *_outcome(cell))
@@ -259,7 +260,12 @@ def _clamped_walk(start: int, moves: np.ndarray, upper: int) -> np.ndarray:
 
 class _Cell:
     """What a run in a lockstep group does not share with the others: its
-    model, controller, camera, rows and trace columns.
+    model, controller, rows and log.
+
+    Every run logs in four arrays: ``lefts`` and ``tops`` hold the camera's
+    start at index 0 and its position after step t at t + 1, ``codes``
+    step t's command code (code i is ``COMMANDS[i]``) and ``errors`` its
+    prediction error. Only ``done`` steps of them count.
 
     Row (j, 0) of ``rows`` is an input, the frame then the velocity, and
     row (j, 1) holds its target frame, which ``targets[j]`` views flat.
@@ -267,26 +273,21 @@ class _Cell:
     they are sensed, and ``hidden[j]`` (``hiddens[j]``) holds the hidden
     response to input j.
 
-    A reactive run has one pair of rows, which each step senses into. It
-    keeps an error history and logs its camera and command as each step
-    completes. A babbling (RM) run has a pair for each step of a noise
-    block and keeps no history: it draws its command codes and clamps its
-    whole path when it is built, so its ``commands`` and its
-    ``cam_x``/``cam_y`` columns are complete from the start and only
-    ``done`` steps of them count. For each noise block, ``fill_block``
-    writes the block's rows and their hidden responses. A failed step
+    A reactive run has one pair of rows, which each step senses into, and
+    an error history, and logs each step as it completes. A babbling (RM)
+    run has a pair for each step of a noise block and no history: it fills
+    its log's path and codes when it is built, and ``fill_block`` writes
+    each noise block's rows and their hidden responses. A failed step
     leaves what it raised in ``exc``, the run's one failure slot.
     """
 
-    __slots__ = ("controller", "history", "rng", "state", "left", "top",
-                 "codes", "frame_lefts", "frame_tops", "rows", "frames",
-                 "hidden", "hiddens", "targets",
-                 "cam_x", "cam_y", "errors", "commands", "done", "exc")
+    __slots__ = ("controller", "history", "rng", "state", "lefts", "tops",
+                 "codes", "errors", "rows", "frames", "hidden", "hiddens",
+                 "targets", "done", "exc")
 
-    def __init__(self, config: ExperimentConfig, state: ElmState,
-                 rng: np.random.Generator, cam: CameraState,
+    def __init__(self, config: ExperimentConfig, controller: ControllerConfig,
+                 state: ElmState, rng: np.random.Generator, cam: CameraState,
                  max_left: int, max_top: int):
-        controller = config.controller
         steps = config.steps
         self.controller = controller
         self.rng = rng
@@ -294,63 +295,54 @@ class _Cell:
         if controller.kind is ControllerKind.RM:
             self.history = None
             self.codes = random_commands(rng, steps)
-            self.commands = [COMMANDS[i] for i in self.codes.tolist()]
             velocities = _VELOCITY_ROWS[self.codes]
-            lefts = _clamped_walk(cam.left, velocities[:, 0], max_left)
-            tops = _clamped_walk(cam.top, velocities[:, 1], max_top)
-            # Step t senses frame 2t at its start and frame 2t + 1 after
-            # its move: the order of the noise frames.
-            self.frame_lefts = np.repeat(lefts, 2)[1:-1]
-            self.frame_tops = np.repeat(tops, 2)[1:-1]
-            self.cam_x = self.frame_lefts[1::2]
-            self.cam_y = self.frame_tops[1::2]
+            self.lefts = _clamped_walk(cam.left, velocities[:, 0], max_left)
+            self.tops = _clamped_walk(cam.top, velocities[:, 1], max_top)
             count = _BLOCK_STEPS
         else:
-            self.history = ErrorHistory(
-                capacity=controller.window + controller.em_window
-            )
-            self.left, self.top = cam.left, cam.top
-            # Step t's camera is written at index t, and its command appended.
-            self.cam_x = np.empty(steps, dtype=np.int64)
-            self.cam_y = np.empty(steps, dtype=np.int64)
-            self.commands: list[MotorCommand] = []
+            self.history = ErrorHistory(controller.window + controller.em_window)
+            self.lefts = np.full(steps + 1, cam.left)
+            self.tops = np.full(steps + 1, cam.top)
+            self.codes = np.empty(steps, int)
             count = 1
+        self.errors = np.empty(steps)
         w, h = config.window_w, config.window_h
         self.rows = np.empty((count, 2, w * h + 2))
         self.frames = self.rows.reshape(2 * count, -1)[:, :-2].reshape(2 * count, h, w)
         self.hidden = np.empty((count, state.hidden_count))
         self.hiddens = list(self.hidden)
         self.targets = list(self.rows[:, 1, :-2])
-        self.errors = np.empty(steps)  # step t's error, at index t
         self.done = steps  # the steps logged, once the run is over
         self.exc: Exception | None = None  # what a failed step raised
 
     def fill_block(self, t: int, windows: np.ndarray, noise: np.ndarray) -> None:
-        """Fill ``rows`` and ``hidden`` for a babbling run's steps from t to
-        the noise block's end or the run's.
+        """Fill ``rows`` and ``hidden`` for a babbling run's ``count`` steps
+        from t to the noise block's end or the run's.
 
         ``windows`` is the scene's (top, left, height, width) window view
-        and ``noise`` the block's noise frames. The windows before and after
-        each of the block's moves are gathered in one index and sensed in
-        one ``_sense``, which is elementwise, so each frame has the bits of
-        its own ``_sense``. The block's hidden responses come from one
-        ``hidden_into`` on the stack of input rows, which gives each row the
-        bits of its input alone.
+        and ``noise`` the block's noise frames. The ``count + 1`` positions
+        the steps start and end at are gathered in one index. Step t + i
+        senses window i against noise frame 2i as its input and window
+        i + 1 against frame 2i + 1 as its target: one ``_sense`` for the
+        even frames, one for the odd. ``_sense`` is elementwise, so each
+        frame has the bits of its own ``_sense``, and one ``hidden_into``
+        on the stack of input rows gives each row the bits of its input.
         """
-        block = slice(2 * t, 2 * t + NOISE_BLOCK_FRAMES)
-        seen = windows[self.frame_tops[block], self.frame_lefts[block]]
-        count = len(seen) // 2
+        span = slice(t, t + _BLOCK_STEPS + 1)
+        seen = windows[self.tops[span], self.lefts[span]]
+        count = len(seen) - 1
         rows = self.rows[:count]
         rows[:, 0, -2:] = _VELOCITY_ROWS[self.codes[t : t + count]]
-        _sense(seen, noise[: 2 * count], self.frames[: 2 * count])
+        _sense(seen[:-1], noise[: 2 * count : 2], self.frames[: 2 * count : 2])
+        _sense(seen[1:], noise[1 : 2 * count : 2], self.frames[1 : 2 * count : 2])
         hidden_into(self.state, rows[:, 0], self.hidden[:count])
 
 
-def _run_lockstep(
-    configs: list[ExperimentConfig], world: WorldImage | None = None
-) -> list[_Cell]:
-    """Run configs that differ only in their controller, one step of each
-    in turn, and return their cells in the order given.
+def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConfig],
+                  world: WorldImage | None = None) -> list[_Cell]:
+    """Run ``config`` once per controller, one step of each run in turn,
+    and return their cells in the order given; ``config.controller`` is
+    not read. A group is one experiment and the controllers run on it.
 
     Every run of a master seed observes the same scene through the same
     hidden layer (W, b) and the same sensor-noise stream, so the group
@@ -379,8 +371,9 @@ def _run_lockstep(
       sum, errors are squares, and a readout entry, which starts at +0,
       never holds -0, since adding a zero of either sign to +0 gives +0.
       The accumulator P never reads a frame.
-    - The camera is two ints, clamped as ``apply_motor`` clamps them; the
-      check that the window fits the image is made once, up front.
+    - The camera is the run's logged position, clamped as ``apply_motor``
+      clamps it; the check that the window fits the image is made once,
+      up front.
     - A babbling (RM) run draws its command codes at the start, as
       ``steps`` ``choose_random`` calls would (``random_commands``), keeps
       no history, and clamps its whole path once, as the steps would
@@ -388,7 +381,8 @@ def _run_lockstep(
       block at a time from ``_Cell.fill_block``. A position or command
       known ahead counts only once its step completes. A reactive run
       senses, chooses and computes its hidden response per step, into its
-      one pair of rows.
+      one pair of rows, and logs its command code and position as the
+      step completes.
     - Every run then learns alike, from its row's hidden response, read
       uncopied: the forecast, the score and the update share it. The
       residual ``target - forecast`` is computed once: the error is
@@ -403,41 +397,39 @@ def _run_lockstep(
     alone: the cell keeps the exception, an abort (see ``run_experiment``)
     or any other, unraised in ``exc``, and the steps before it in ``done``.
     """
-    first = configs[0]
-    if any(replace(c, controller=first.controller) != first for c in configs):
-        raise ValueError("a lockstep group's configs may differ only in the controller")
-    elm_seed, noise_seed, controller_seed, _ = _derived_seeds(first.master_seed)
+    elm_seed, noise_seed, controller_seed, _ = _derived_seeds(config.master_seed)
     noise_rng = np.random.default_rng(noise_seed)
 
     if world is None:
-        world = load_world(first)
-    if world.width < first.window_w or world.height < first.window_h:
+        world = load_world(config)
+    if world.width < config.window_w or world.height < config.window_h:
         raise ConfigError(
             f"{world.width}x{world.height} image is smaller than the camera window"
         )
-    cam = initial_camera(world, first)
+    cam = initial_camera(world, config)
     w, h = cam.width, cam.height
     max_left, max_top = world.width - w, world.height - h
-    state = init_elm(replace(first.elm, seed=elm_seed))
+    state = init_elm(replace(config.elm, seed=elm_seed))
     states = [state] + [
         replace(state, readout=state.readout.copy(), inv_gram=state.inv_gram.copy())
-        for _ in configs[1:]
+        for _ in controllers[1:]
     ]
     cells = [
-        _Cell(config, s, np.random.default_rng(controller_seed), cam, max_left, max_top)
-        for config, s in zip(configs, states)
+        _Cell(config, controller, s, np.random.default_rng(controller_seed), cam,
+              max_left, max_top)
+        for controller, s in zip(controllers, states)
     ]
 
     n = w * h
     work = Workspace(state)
     forecast = np.empty(n)
     residual = np.empty(n)
-    sigma = first.noise.sigma
+    sigma = config.noise.sigma
     noise = np.zeros((NOISE_BLOCK_FRAMES, h, w))
     windows = sliding_window_view(world.pixels, (h, w))  # read-only
     live = cells
     with saturating():
-        for t in range(first.steps):
+        for t in range(config.steps):
             k = 2 * t % NOISE_BLOCK_FRAMES
             if k == 0 and sigma > 0.0:
                 noise_rng.standard_normal(out=noise)
@@ -451,7 +443,7 @@ def _run_lockstep(
                             cell.fill_block(t, windows, noise)
                         j = k // 2
                     else:
-                        left, top = cell.left, cell.top
+                        left, top = cell.lefts.item(t), cell.tops.item(t)
                         frames = cell.frames
                         _sense(windows[top, left], noise[k], frames[0])
                         command = choose_action(cell.controller.kind, cell.history,
@@ -474,11 +466,11 @@ def _run_lockstep(
                         raise NumericError(f"prediction error is {error!r} at step {t}")
                     rls_update(cell.state, work, residual, hidden)
                     cell.errors[t] = error
-                    if cell.history is not None:  # RM's columns are set up front
+                    if cell.history is not None:  # RM's log is set up front
                         cell.history.append(t, command, error)
-                        cell.commands.append(command)
-                        cell.left = cell.cam_x[t] = left
-                        cell.top = cell.cam_y[t] = top
+                        cell.codes[t] = COMMANDS.index(command)
+                        cell.lefts[t + 1] = left
+                        cell.tops[t + 1] = top
                 except Exception as exc:  # noqa: BLE001 - one run cannot sink the group
                     cell.exc = exc
                     cell.done = t
@@ -492,14 +484,15 @@ def _run_lockstep(
 
 def _outcome(cell: _Cell) -> tuple:
     """A finished cell as (trace columns, model, failure): what a pool
-    worker sends back. An abort's failure is its ``NumericError``'s text;
-    a cell that raised anything else sends neither columns nor model."""
+    worker sends back. The columns are its log's arrays over the steps
+    done. An abort's failure is its ``NumericError``'s text; a cell that
+    raised anything else sends neither columns nor model."""
     exc = cell.exc
     if exc is not None and not isinstance(exc, NumericError):
         return None, None, _describe(exc)
     done = cell.done
-    columns = (cell.cam_x[:done], cell.cam_y[:done], cell.errors[:done],
-               cell.commands[:done])
+    columns = (cell.lefts[1 : done + 1], cell.tops[1 : done + 1],
+               cell.errors[:done], cell.codes[:done])
     return columns, cell.state, None if exc is None else str(exc)
 
 
@@ -518,8 +511,9 @@ def _run_result(
     trace: list[StepRecord] = []
     metrics = None
     if columns is not None:
-        cam_x, cam_y, errors, commands = columns
+        cam_x, cam_y, errors, codes = columns
         xs, ys = cam_x.tolist(), cam_y.tolist()
+        commands = [COMMANDS[i] for i in codes.tolist()]
         trace = list(map(StepRecord._make,
                          zip(range(len(commands)), xs, ys, commands, errors.tolist())))
         if trace:
@@ -591,7 +585,7 @@ def _run_chunk(configs: list[ExperimentConfig]) -> list[tuple]:
     for _, group in itertools.groupby(configs, key=lambda c: c.master_seed):
         group = list(group)
         try:
-            cells = _run_lockstep(group)
+            cells = _run_lockstep(group[0], [c.controller for c in group])
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
             outcomes += [(None, None, _describe(exc))] * len(group)
         else:

@@ -377,6 +377,27 @@ def test_compare_rejects_repeated_seeds(tmp_path, capsys):
     assert not (tmp_path / "summary.csv").exists()
 
 
+def test_compare_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(tiny_args("compare", out, ["--seeds=1,-2"])) == EXIT_USAGE
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_scene_smaller_than_camera_names_each_failure(tmp_path, capsys):
+    small = tmp_path / "small.pgm"
+    small.write_bytes(b"P2 3 3 255 " + b"0 " * 9)
+    code = main(tiny_args("compare", tmp_path / "out",
+                          ["--seeds", "1,2", "--image", str(small)]))
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "failed cells: [" in err
+    for kind in ControllerKind:
+        for seed in (1, 2):
+            assert (f"failed cell {kind.value}/{seed}: ConfigError: 3x3 image is "
+                    "smaller than the camera window\n") in err
+
+
 # ---------------------------------------------------------------------------
 # Package surface
 
