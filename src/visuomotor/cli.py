@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from .controllers import ControllerKind
 from .errors import ConfigError, VisuomotorError
 from .harness import (
     ComparisonResult,
-    ExperimentConfig,
+    KindSummary,
     RunResult,
     default_config,
     load_world,
@@ -43,40 +45,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_run_flags(parser: argparse.ArgumentParser,
-                   defaults: ExperimentConfig) -> None:
-    parser.add_argument("--steps", type=int, default=defaults.steps)
-    parser.add_argument("--image", default=defaults.image_source,
-                        help="PGM path, or 'synthetic' for the built-in scene")
-    parser.add_argument("--sigma", type=float, default=defaults.noise.sigma,
-                        help="sensor noise level")
-    parser.add_argument("--epsilon", type=float,
-                        default=defaults.controller.epsilon,
-                        help="random-command probability")
-    parser.add_argument("--hidden", type=int, default=defaults.hidden_count,
-                        help="hidden neuron count")
-    parser.add_argument("--window", type=int, default=defaults.controller.window,
-                        help="controller lookback window")
-    parser.add_argument("--em-window", type=int,
-                        default=defaults.controller.em_window,
-                        help="sliding-mean width for learning progress")
-    parser.add_argument("--camera", type=int, default=defaults.window_w,
-                        help="camera window side, in pixels")
+# default_config's keyword-only parameters, each with its flag and help.
+# A flag's type and default are its parameter's default's.
+_RUN_FLAGS = {
+    "steps": ("--steps", None),
+    "image_source": ("--image", "PGM path, or 'synthetic' for the built-in scene"),
+    "sigma": ("--sigma", "sensor noise level"),
+    "epsilon": ("--epsilon", "random-command probability"),
+    "hidden_count": ("--hidden", "hidden neuron count"),
+    "window": ("--window", "controller lookback window"),
+    "em_window": ("--em-window", "sliding-mean width for learning progress"),
+    "camera": ("--camera", "camera window side, in pixels"),
+}
+_DEFAULTS = {name: p.default
+             for name, p in inspect.signature(default_config).parameters.items()}
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    for name, (flag, text) in _RUN_FLAGS.items():
+        default = _DEFAULTS[name]
+        parser.add_argument(flag, type=type(default), default=default, help=text)
     parser.add_argument("--out", default=os.environ.get(OUT_DIR_ENV, "out"),
                         help=f"output directory (default: ${OUT_DIR_ENV} or ./out)")
 
 
 def build_parser() -> _Parser:
-    # Every experiment default comes from the config dataclasses.
-    defaults = ExperimentConfig()
+    # Every experiment default comes from default_config's signature.
     parser = _Parser(prog="visuomotor", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     run = sub.add_parser("run", help="run one experiment")
     run.add_argument("--controller", choices=[k.value for k in ALL_KINDS],
-                     default=defaults.controller.kind.value)
-    run.add_argument("--seed", type=int, default=defaults.master_seed)
-    _add_run_flags(run, defaults)
+                     default=_DEFAULTS["kind"].value)
+    run.add_argument("--seed", type=int, default=_DEFAULTS["master_seed"])
+    _add_run_flags(run)
 
     compare = sub.add_parser(
         "compare", help="run all four controllers over several seeds"
@@ -88,7 +90,7 @@ def build_parser() -> _Parser:
                               "at most one per cell; each runs a contiguous "
                               "share of the seed-major cells, its cells of "
                               "each seed in lockstep")
-    _add_run_flags(compare, defaults)
+    _add_run_flags(compare)
     return parser
 
 
@@ -97,18 +99,11 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def _config_from_args(args: argparse.Namespace, kind: str, seed: int):
-    return default_config(
-        kind,
-        seed,
-        steps=args.steps,
-        sigma=args.sigma,
-        image_source=args.image,
-        epsilon=args.epsilon,
-        hidden_count=args.hidden,
-        window=args.window,
-        em_window=args.em_window,
-        camera=args.camera,
-    )
+    # argparse stores --em-window's value as args.em_window.
+    return default_config(kind, seed, **{
+        name: getattr(args, flag[2:].replace("-", "_"))
+        for name, (flag, _) in _RUN_FLAGS.items()
+    })
 
 
 def _format_float(value: float) -> str:
@@ -136,33 +131,27 @@ def write_trace_csv(result: RunResult, path: str | Path) -> None:
 
 
 def write_summary(comparison: ComparisonResult, path: str | Path) -> None:
-    """Per-kind medians, then a per-seed ranking table (best first)."""
+    """Per-kind medians, then a per-seed ranking table (best first).
+
+    The medians' header is ``KindSummary``'s fields; a kind with no cell
+    that ran has a blank row. A seed's rank row lists the kinds whose cell
+    ran, padded with blanks to one column per kind.
+    """
+    columns = [f.name for f in dataclasses.fields(KindSummary)]
+    kinds = comparison.kinds
     with open(path, "w", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([
-            "kind", "median_final_error", "median_unique_positions",
-            "median_bbox_area", "median_stay_fraction",
-        ])
-        for kind in comparison.kinds:
+        writer.writerow(columns)
+        for kind in kinds:
             row = comparison.summary.get(kind)
-            if row is None:
-                writer.writerow([kind.value, "", "", "", ""])
-                continue
-            writer.writerow([
-                kind.value,
-                _format_float(row.median_final_error),
-                _format_float(row.median_unique_positions),
-                _format_float(row.median_bbox_area),
-                _format_float(row.median_stay_fraction),
-            ])
+            medians = ([""] * (len(columns) - 1) if row is None else
+                       [_format_float(getattr(row, name)) for name in columns[1:]])
+            writer.writerow([kind.value] + medians)
         writer.writerow([])
-        writer.writerow(
-            ["seed"] + [f"rank{i + 1}" for i in range(len(comparison.kinds))]
-        )
+        writer.writerow(["seed"] + [f"rank{i + 1}" for i in range(len(kinds))])
         for seed in comparison.seeds:
-            writer.writerow(
-                [seed] + [kind.value for kind in comparison.rankings[seed]]
-            )
+            ranked = [kind.value for kind in comparison.rankings[seed]]
+            writer.writerow([seed] + ranked + [""] * (len(kinds) - len(ranked)))
 
 
 def _write_pgm_p5(path: str | Path, gray: np.ndarray) -> None:

@@ -21,7 +21,7 @@ import concurrent.futures
 import itertools
 import math
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -67,9 +67,11 @@ FINAL_ERROR_WINDOW = 100
 class ExperimentConfig:
     """Everything one seeded run needs, image content excluded.
 
-    The defaults here are the standard experiment; ``default_config`` and
-    the command-line flags take theirs from this class. ``default_config``
-    builds a square camera. ``elm`` is the ELM for the ``window_w`` by
+    The defaults here are the standard experiment; ``default_config``, and
+    through it the command-line flags, take theirs from this class.
+    ``default_config`` builds a square camera. A camera larger than the
+    synthetic scene is a ``ConfigError``; a file scene is checked when a
+    run loads it. ``elm`` is the ELM for the ``window_w`` by
     ``window_h`` camera and ``hidden_count``, built once, at construction.
     """
 
@@ -87,6 +89,12 @@ class ExperimentConfig:
             raise ConfigError("steps must be at least 1")
         if self.window_w < 1 or self.window_h < 1:
             raise ConfigError("camera window must have positive size")
+        if self.image_source == SYNTHETIC_SOURCE and max(
+                self.window_w, self.window_h) > _SYNTHETIC_SIZE:
+            raise ConfigError(
+                f"{self.window_w}x{self.window_h} camera window does not fit the "
+                f"{_SYNTHETIC_SIZE}x{_SYNTHETIC_SIZE} synthetic scene"
+            )
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
         n = self.window_w * self.window_h
@@ -555,7 +563,12 @@ def _metrics(xs: Sequence[int], ys: Sequence[int], commands: Sequence[MotorComma
 
 @dataclass
 class KindSummary:
-    """Medians of one controller's metrics across seeds (valid runs only)."""
+    """Medians of one controller's metrics across seeds (valid runs only).
+
+    Each field after ``kind`` is ``median_<m>``, the median of
+    ``Metrics.<m>`` over the kind's valid cells. The fields, in order, are
+    the columns of the comparison summary.
+    """
 
     kind: ControllerKind
     median_final_error: float
@@ -570,7 +583,7 @@ class ComparisonResult:
     seeds: list[int]
     results: dict[tuple[ControllerKind, int], RunResult]
     summary: dict[ControllerKind, KindSummary]
-    rankings: dict[int, list[ControllerKind]]  # seed -> kinds by ascending final error
+    rankings: dict[int, list[ControllerKind]]  # seed -> kinds that ran, best first
 
 
 def _run_chunk(configs: list[ExperimentConfig]) -> list[tuple]:
@@ -611,7 +624,8 @@ def run_comparison(
     worker holds its chunk's trace columns and models, as compact arrays,
     until the chunk returns. The parent builds every ``RunResult`` from
     them. Aggregation order is fixed by (kind, seed) so the result does
-    not depend on completion order.
+    not depend on completion order. Failed cells make neither medians nor
+    ranks: a seed's ranking lists only the kinds whose cell ran.
     """
     if not kinds or not seeds:
         raise ValueError("run_comparison needs at least one kind and one seed")
@@ -646,26 +660,18 @@ def run_comparison(
     }
     results = {(kind, seed): by_cell[(kind, seed)] for kind in kinds for seed in seeds}
 
-    # Only valid cells make the medians and the ranks; failed ones rank last.
+    # Only valid cells make the medians and the ranks.
     counted = {cell: r.metrics for cell, r in results.items() if r.valid}
+    measured = [f.name.removeprefix("median_") for f in fields(KindSummary)[1:]]
     summary: dict[ControllerKind, KindSummary] = {}
     for kind in kinds:
         rows = [counted[(kind, seed)] for seed in seeds if (kind, seed) in counted]
         if rows:
-            summary[kind] = KindSummary(
-                kind=kind,
-                median_final_error=float(np.median([m.final_error for m in rows])),
-                median_unique_positions=float(
-                    np.median([m.unique_positions for m in rows])
-                ),
-                median_bbox_area=float(np.median([m.bbox_area for m in rows])),
-                median_stay_fraction=float(np.median([m.stay_fraction for m in rows])),
-            )
-    final_errors = {cell: m.final_error for cell, m in counted.items()}
-    rankings = {
-        seed: sorted(kinds, key=lambda kind: final_errors.get((kind, seed), math.inf))
-        for seed in seeds
-    }
+            summary[kind] = KindSummary(kind, *(
+                float(np.median([getattr(m, name) for m in rows])) for name in measured
+            ))
+    by_error = sorted(counted, key=lambda cell: counted[cell].final_error)
+    rankings = {seed: [kind for kind, s in by_error if s == seed] for seed in seeds}
     return ComparisonResult(
         kinds=kinds, seeds=list(seeds), results=results, summary=summary,
         rankings=rankings,

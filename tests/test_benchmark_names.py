@@ -9,7 +9,9 @@ the package still defines it.
 
 It sees only names reached through an import: not an instance attribute
 such as ``result.trace``, nor a keyword such as ``replace(config,
-seed=...)``. ``benchmarks/selftest.py`` still covers those.
+seed=...)``. ``benchmarks/selftest.py`` still covers those. The one
+exception is the parsed arguments: every ``args.attr`` read on a result of
+``cli.parse_args`` must be an attribute the parser sets.
 """
 
 import ast
@@ -38,9 +40,10 @@ def _member(obj, attr):
     raise AttributeError(attr)
 
 
-def _missing_names(tree: ast.Module) -> tuple[list[str], int]:
-    """The package names ``tree`` uses that do not exist, and how many
-    references it checked."""
+def _imports(tree: ast.Module) -> tuple[dict, list[str], int]:
+    """Each local name ``tree`` imports from the package, bound to the
+    object it was imported as; the imported names that do not exist; and
+    how many imports it checked."""
     bound = {}  # local name -> the package object it was imported as
     missing = []
     checked = 0
@@ -62,6 +65,13 @@ def _missing_names(tree: ast.Module) -> tuple[list[str], int]:
                         bound[alias.asname] = module
                     else:
                         bound[PACKAGE] = importlib.import_module(PACKAGE)
+    return bound, missing, checked
+
+
+def _missing_names(tree: ast.Module) -> tuple[list[str], int]:
+    """The package names ``tree`` uses that do not exist, and how many
+    references it checked."""
+    bound, missing, checked = _imports(tree)
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
@@ -74,6 +84,49 @@ def _missing_names(tree: ast.Module) -> tuple[list[str], int]:
             except AttributeError:
                 missing.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
     return missing, checked
+
+
+def _parsed_attributes(tree: ast.Module) -> set[str]:
+    """Every ``X.attr`` read in a function of ``tree`` that assigns
+    ``X = cli.parse_args(...)``, with ``cli`` imported from the package."""
+    from visuomotor import cli
+
+    bound = _imports(tree)[0]
+    attributes = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        parsed = {
+            target.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and isinstance(node.value.func.value, ast.Name)
+            and bound.get(node.value.func.value.id) is cli
+            and node.value.func.attr == "parse_args"
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        attributes |= {
+            node.attr
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in parsed
+        }
+    return attributes
+
+
+def test_parser_attributes_the_benchmark_reads_exist():
+    from visuomotor import cli
+
+    read = set()
+    for script in sorted(BENCHMARKS.glob("*.py")):
+        read |= _parsed_attributes(ast.parse(script.read_text(), str(script)))
+    assert read, "no script reads a cli.parse_args result"
+    dests = set(vars(cli.parse_args(["run"]))) | set(vars(cli.parse_args(["compare"])))
+    assert read <= dests, f"the parser no longer sets {sorted(read - dests)}"
 
 
 def test_names_the_benchmark_uses_exist():

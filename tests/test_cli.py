@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its file writers."""
 
 import csv
+import inspect
 
 import numpy as np
 import pytest
@@ -64,6 +65,14 @@ def test_defaults_mirror_standard_experiment():
 def test_flag_defaults_give_default_config(subcommand):
     args = parse_args([subcommand])
     assert _config_from_args(args, "rm", 1) == default_config("rm", 1)
+
+
+def test_run_flags_cover_default_config_keywords():
+    keywords = {
+        name for name, p in inspect.signature(default_config).parameters.items()
+        if p.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+    assert set(cli._RUN_FLAGS) == keywords
 
 
 def test_epsilon_flag_parsed():
@@ -333,6 +342,7 @@ def test_run_rejects_bad_sigma(tmp_path, capsys, value):
         ("--steps", "0", "steps"),
         ("--hidden", "0", "hidden_count"),
         ("--camera", "0", "camera window"),
+        ("--camera", "513", "synthetic scene"),
         ("--epsilon", "2", "epsilon"),
         ("--sigma", "nan", "sigma"),
         ("--window", "0", "window"),
@@ -396,6 +406,9 @@ def test_compare_scene_smaller_than_camera_names_each_failure(tmp_path, capsys):
         for seed in (1, 2):
             assert (f"failed cell {kind.value}/{seed}: ConfigError: 3x3 image is "
                     "smaller than the camera window\n") in err
+    # No cell ran, so no seed ranks any kind.
+    rank_rows = (tmp_path / "out" / "summary.csv").read_text().split("\n\n")[1]
+    assert rank_rows.splitlines()[1:] == ["1,,,,", "2,,,,"]
 
 
 # ---------------------------------------------------------------------------

@@ -555,6 +555,11 @@ def test_config_validation():
     # The derived ELM config is built, and checked, at construction.
     with pytest.raises(ConfigError, match="hidden_count"):
         ExperimentConfig(hidden_count=0)
+    # A camera larger than the synthetic scene fails at construction; a
+    # file scene is only read, and checked, when a run loads it.
+    with pytest.raises(ConfigError, match="does not fit the 512x512 synthetic scene"):
+        ExperimentConfig(window_w=513)
+    ExperimentConfig(window_w=513, image_source="scene.pgm")
 
 
 def test_experiment_config_is_flat():
@@ -741,8 +746,8 @@ def test_comparison_isolates_cell_failures(monkeypatch):
     assert "Traceback" in failed.failure
     assert "in raising_choice" in failed.failure
     assert ControllerKind.MAXPE not in comparison.summary
-    # Failed cells rank last.
-    assert comparison.rankings[1][-1] == ControllerKind.MAXPE
+    # Only the cells that ran are ranked.
+    assert comparison.rankings[1] == [ControllerKind.RM]
 
 
 def test_run_experiment_raises_what_its_loop_raises(monkeypatch):
