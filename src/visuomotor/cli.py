@@ -22,6 +22,7 @@ from .harness import (
     KindSummary,
     RunResult,
     default_config,
+    initial_camera,
     load_world,
     run_comparison,
     run_experiment,
@@ -178,8 +179,8 @@ def render_frames(
             f"predicted frame has {predicted.size} values, window needs "
             f"{cam.pixel_count}"
         )
-    window = image.pixels[cam.top : cam.top + cam.height,
-                          cam.left : cam.left + cam.width]
+    pixels = image.ensure(cam.top, cam.left, cam.height, cam.width)
+    window = pixels[cam.top : cam.top + cam.height, cam.left : cam.left + cam.width]
     prefix = str(path_prefix)
     _write_pgm_p5(prefix + "_actual.pgm", world.quantize(window))
     _write_pgm_p5(
@@ -190,9 +191,10 @@ def render_frames(
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args, args.controller, args.seed)
+    image = load_world(config)
+    initial_camera(image, config)  # a scene the camera does not fit fails here
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    image = load_world(config)
     result = run_experiment(config, world=image)
     write_trace_csv(result, out_dir / "trace.csv")
     if not result.valid:

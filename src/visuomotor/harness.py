@@ -12,7 +12,11 @@ of the group's noise block (all zero at sigma 0), into rows of its own
 and random babbling (RM), which never reads the errors, is planned at
 its start and senses a noise block's rows at a time. Every run then
 learns alike from its row, one step at a time, and logs its path,
-command codes and errors in arrays of one layout.
+command codes and errors in arrays of one layout. A run reads only the
+part of a synthetic scene it can reach: at each noise block's start it
+asks the scene to fill its camera window grown by the block's
+``_BLOCK_STEPS`` steps on each side, since a step moves the camera at
+most one pixel.
 """
 
 from __future__ import annotations
@@ -194,7 +198,12 @@ def load_world(config: ExperimentConfig) -> WorldImage:
 
 
 def initial_camera(world: WorldImage, config: ExperimentConfig) -> CameraState:
-    """Camera centered in the image."""
+    """Camera centered in the image; an image smaller than the camera
+    window is a ``ConfigError``."""
+    if world.width < config.window_w or world.height < config.window_h:
+        raise ConfigError(
+            f"{world.width}x{world.height} image is smaller than the camera window"
+        )
     return CameraState(
         left=(world.width - config.window_w) // 2,
         top=(world.height - config.window_h) // 2,
@@ -382,6 +391,13 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
     - The camera is the run's logged position, clamped as ``apply_motor``
       clamps it; the check that the window fits the image is made once,
       up front.
+    - Every window is read from the scene's pixel buffer, which a
+      synthetic scene fills only where ``WorldImage.ensure`` asks. At each
+      noise block's start every live run ensures the rectangle its next
+      ``_BLOCK_STEPS`` steps can reach: a step moves the camera at most
+      one pixel, so that is the window at the run's corner grown by
+      ``_BLOCK_STEPS`` on each side, clipped to the scene. One call per
+      run per block, whatever its controller.
     - A babbling (RM) run draws its command codes at the start, as
       ``steps`` ``choose_random`` calls would (``random_commands``), keeps
       no history, and clamps its whole path once, as the steps would
@@ -410,10 +426,6 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
 
     if world is None:
         world = load_world(config)
-    if world.width < config.window_w or world.height < config.window_h:
-        raise ConfigError(
-            f"{world.width}x{world.height} image is smaller than the camera window"
-        )
     cam = initial_camera(world, config)
     w, h = cam.width, cam.height
     max_left, max_top = world.width - w, world.height - h
@@ -434,7 +446,8 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
     residual = np.empty(n)
     sigma = config.noise.sigma
     noise = np.zeros((NOISE_BLOCK_FRAMES, h, w))
-    windows = sliding_window_view(world.pixels, (h, w))  # read-only
+    # Read-only, and filled only where a block start has ensured it.
+    windows = sliding_window_view(world.ensure(cam.top, cam.left, h, w), (h, w))
     live = cells
     with saturating():
         for t in range(config.steps):
@@ -445,6 +458,10 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
             ended = False
             for cell in live:
                 try:
+                    if k == 0:  # the scene this block's steps can reach
+                        world.ensure(cell.tops.item(t) - _BLOCK_STEPS,
+                                     cell.lefts.item(t) - _BLOCK_STEPS,
+                                     h + 2 * _BLOCK_STEPS, w + 2 * _BLOCK_STEPS)
                     # The step's rows j: input, target and hidden response.
                     if cell.history is None:
                         if k == 0:

@@ -1,14 +1,41 @@
 """The environment: a static grayscale image observed through a movable
 camera window, with discrete one-pixel motor commands and additive
 sensor noise. Includes PGM (P2/P5) reading and writing plus a seeded
-synthetic image so nothing external is required."""
+synthetic image so nothing external is required.
+
+A synthetic scene is filled only where it is read, and each pixel has
+the bits it would have if the whole scene were summed and normalised
+at once:
+
+- Every pixel is computed by elementwise operations (``_raw_field``:
+  add, multiply, add, libm ``sin``, divide and add per component, then
+  ``-= low`` and ``/= high - low``) on its own operands, so its bits do
+  not depend on which other pixels share its buffer: a tile, a list of
+  candidates and the whole scene give it the same value.
+- ``low`` and ``high`` are the least and greatest raw value F over every
+  pixel. ``_extremes`` finds them from an approximation G, one matrix
+  product, with |G - F| <= E at every pixel. Every angle that F and G
+  round has magnitude below 2π (64 √2 + 1) < 576, each of the 3 + 3
+  roundings of it is off by at most 576 · 2^-53, and sin and cos are
+  1-Lipschitz; sin, cos, the divisions, the products and the sums add
+  a few units of 2^-53 per term. With A = Σ_k 1/d_k, which bounds |F|,
+  that bounds E by (3456 + 4 K + 8) · 2^-53 · A for K components: about
+  4e-13 · A at K = 24 (the default scenes' largest |G - F| is near
+  1e-13, with A about 13).
+- Every pixel q whose G is within the margin τ = 1e-6 · A of the
+  greatest G is a candidate. A pixel p where F is greatest is one when
+  τ >= 2 E: G(p) >= F(p) - E >= F(p*) - E >= G(p*) - 2 E, where p* has
+  the greatest G. So the greatest F among the candidates is ``high``;
+  the least, ``low``, likewise. τ >= 2 E holds for K below 10^9.
+"""
 
 from __future__ import annotations
 
-import concurrent.futures
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,16 +69,27 @@ def command_to_velocity(cmd: MotorCommand) -> tuple[int, int]:
     return _VELOCITIES[cmd]
 
 
-@dataclass(frozen=True)
+# Side of the square tiles a synthetic scene is filled in.
+_TILE = 32
+
+
 class WorldImage:
-    """Immutable grayscale image with intensities in [0, 1]."""
+    """Immutable grayscale image with intensities in [0, 1].
 
-    pixels: np.ndarray  # (height, width) float64
+    ``pixels`` is the whole image, read-only. A scene from
+    ``synthetic_image`` starts unfilled and is filled a tile of
+    ``_TILE`` x ``_TILE`` pixels at a time: ``ensure`` fills the tiles a
+    rectangle touches, and ``pixels`` fills every tile first. A pixel has
+    the same bits whenever, and through whichever call, its tile is
+    filled. Every other image is complete from the start.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("_pixels", "_tiles")
+
+    def __init__(self, pixels: np.ndarray):
         # A private copy, so that later writes to the caller's array
         # cannot reach the image.
-        self._own(np.array(self.pixels, dtype=float))
+        self._own(np.array(pixels, dtype=float))
 
     @classmethod
     def _adopt(cls, pixels: np.ndarray) -> WorldImage:
@@ -59,6 +97,14 @@ class WorldImage:
         without copying it; the checks are the same."""
         image = object.__new__(cls)
         image._own(pixels)
+        return image
+
+    @classmethod
+    def _tiled(cls, tiles: _Tiles) -> WorldImage:
+        """Wrap a synthetic scene that fills itself as it is read."""
+        image = object.__new__(cls)
+        image._pixels = tiles.pixels
+        image._tiles = tiles
         return image
 
     def _own(self, pixels: np.ndarray) -> None:
@@ -72,15 +118,29 @@ class WorldImage:
         if low < 0.0 or high > 1.0:
             raise ConfigError("image intensities must lie in [0, 1]")
         pixels.setflags(write=False)
-        object.__setattr__(self, "pixels", pixels)
+        self._pixels = pixels
+        self._tiles = None
+
+    @property
+    def pixels(self) -> np.ndarray:
+        return self.ensure(0, 0, self.height, self.width)
+
+    def ensure(self, top: int, left: int, height: int, width: int) -> np.ndarray:
+        """Fill the part of the image inside the ``height`` x ``width``
+        rectangle at (``left``, ``top``), clipped to the image, and return
+        the read-only pixel buffer. The buffer is the same array on every
+        call; only the rectangles ensured so far are sure to be filled."""
+        if self._tiles is not None:
+            self._tiles.fill(top, left, height, width)
+        return self._pixels
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return self._pixels.shape[1]
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return self._pixels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -165,7 +225,8 @@ def observe(
     exact window contents.
     """
     _check_camera(world, cam)
-    window = world.pixels[cam.top : cam.top + cam.height, cam.left : cam.left + cam.width]
+    pixels = world.ensure(cam.top, cam.left, cam.height, cam.width)
+    window = pixels[cam.top : cam.top + cam.height, cam.left : cam.left + cam.width]
     if noise.sigma > 0.0:
         frame = rng.normal(0.0, noise.sigma, cam.pixel_count)
         noisy = frame.reshape(cam.height, cam.width)  # a view of frame
@@ -369,6 +430,169 @@ def to_pgm_p2(image: WorldImage) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+# Rows of the approximate scene ``_extremes`` holds at a time (256 KB at
+# a width of 512).
+_EXTREME_ROWS = 64
+# ``_extremes``' margin τ over A, the sum of the components' amplitudes.
+_MARGIN = 1e-6
+
+
+class _Waves(NamedTuple):
+    """The synthetic scene's K components: fy v over the rows (K, height),
+    fx u over the columns (K, width), and each one's phase and amplitude
+    divisor (K,)."""
+
+    fy_v: np.ndarray
+    fx_u: np.ndarray
+    phase: np.ndarray
+    divisor: np.ndarray
+
+
+def _waves(width: int, height: int, seed: int, components: int) -> _Waves:
+    """Draw the synthetic scene's components."""
+    rng = np.random.default_rng(seed)
+    u = (np.arange(width) + 0.5) / max(width, height)
+    v = (np.arange(height) + 0.5) / max(width, height)
+    fy_v, fx_u, phases, divisors = [], [], [], []
+    f_low, f_high = 1.5, 64.0
+    for k in range(components):
+        freq = f_low * (f_high / f_low) ** (k / max(components - 1, 1))
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        fx = freq * np.cos(angle)
+        fy = freq * np.sin(angle)
+        fy_v.append(fy * v)
+        fx_u.append(fx * u)
+        phases.append(phase)
+        divisors.append(freq**0.3)
+    return _Waves(np.array(fy_v).reshape(components, height),
+                  np.array(fx_u).reshape(components, width),
+                  np.array(phases), np.array(divisors))
+
+
+def _raw_field(waves: _Waves, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The synthetic scene before it is normalised, at the pixels whose
+    row and column indices ``rows`` and ``cols`` give, broadcast together.
+
+    Each pixel goes through the same elementwise operations on the same
+    operands, in the same order over the components, whatever other
+    pixels are computed with it and whatever the shape of the buffer.
+    """
+    shape = np.broadcast_shapes(rows.shape, cols.shape)
+    field = np.zeros(shape)
+    term = np.empty(shape)
+    for fy_v, fx_u, phase, divisor in zip(*waves):
+        # sin(2π (fx u + fy v) + phase) / freq^0.3, one operation at a
+        # time in one buffer; IEEE addition commutes, so fy v + fx u
+        # rounds exactly as fx u + fy v.
+        np.add(fy_v[rows], fx_u[cols], out=term)
+        term *= 2.0 * np.pi
+        term += phase
+        np.sin(term, out=term)
+        term /= divisor
+        field += term
+    return field
+
+
+def _extremes(waves: _Waves, height: int, width: int) -> tuple[float, float]:
+    """The least and the greatest value of ``_raw_field`` over the whole
+    scene, exactly, without computing it at every pixel.
+
+    By the angle-addition identity the field is the matrix product of a
+    (height, 2K) matrix, sin A and cos A over the divisor for each row's
+    angle A = 2π fy v + phase, and a (2K, width) one, cos B and sin B for
+    each column's angle B = 2π fx u. That product is computed a block of
+    rows at a time; every pixel within ``margin`` of the running greatest
+    or least product is a candidate, and ``_raw_field`` gives the
+    candidates' exact values, whose least and greatest are returned.
+    See the module docstring for why they are exact.
+    """
+    margin = _MARGIN * np.sum(1.0 / waves.divisor)
+    row_angle = 2.0 * np.pi * waves.fy_v + waves.phase[:, None]
+    col_angle = 2.0 * np.pi * waves.fx_u
+    left = np.concatenate([np.sin(row_angle), np.cos(row_angle)]).T
+    left /= np.tile(waves.divisor, 2)
+    right = np.concatenate([np.cos(col_angle), np.sin(col_angle)])
+    high, low = -np.inf, np.inf
+    candidates = []  # each block's (flat indices, approximate values)
+    block = np.empty((min(_EXTREME_ROWS, height), width))
+    for top in range(0, height, _EXTREME_ROWS):
+        rows = block[: min(_EXTREME_ROWS, height - top)]
+        np.matmul(left[top : top + _EXTREME_ROWS], right, out=rows)
+        approx = rows.reshape(-1)
+        high, low = max(high, approx.max()), min(low, approx.min())
+        near = np.flatnonzero((approx >= high - margin) | (approx <= low + margin))
+        candidates.append((near + top * width, approx[near]))
+    index = np.concatenate([i for i, _ in candidates])
+    approx = np.concatenate([a for _, a in candidates])
+    index = index[(approx >= high - margin) | (approx <= low + margin)]
+    exact = _raw_field(waves, *np.divmod(index, width))
+    return exact.min(), exact.max()
+
+
+class _Tiles:
+    """A synthetic scene's pixel buffer, filled a tile at a time.
+
+    ``filled`` marks the tiles done. A tile's pixels are its part of
+    ``_raw_field`` then ``-= low`` and ``/= span``: elementwise
+    operations, so each pixel has the bits of a whole-scene computation.
+    Rounding is monotonic, so a raw value x between ``low`` and the
+    greatest has x - low <= span once rounded, and a tile needs no range
+    check: every pixel lies in [0, 1].
+    A check that finds every tile of a rectangle filled takes no lock;
+    the filling is done under ``lock``, so two threads reading one scene
+    never fill a tile twice.
+    """
+
+    def __init__(self, waves: _Waves, low: float, span: float,
+                 height: int, width: int):
+        self.waves, self.low, self.span = waves, low, span
+        self.buffer = np.empty((height, width))
+        self.pixels = self.buffer.view()
+        self.pixels.setflags(write=False)
+        self.filled = np.zeros((-(-height // _TILE), -(-width // _TILE)), dtype=bool)
+        self.last = None  # tile rows and columns last found filled
+        self.lock = threading.Lock()
+
+    def fill(self, top: int, left: int, height: int, width: int) -> None:
+        """Fill every tile the rectangle, clipped to the scene, touches."""
+        rows, cols = self.buffer.shape
+        bottom, right = min(top + height, rows), min(left + width, cols)
+        top, left = max(top, 0), max(left, 0)
+        if top >= bottom or left >= right:
+            return
+        r0, r1 = top // _TILE, -(-bottom // _TILE)
+        c0, c1 = left // _TILE, -(-right // _TILE)
+        # Tiles are never unfilled, so the tiles last found filled stay so;
+        # a camera that stays on them is checked by one comparison.
+        if (r0, r1, c0, c1) == self.last or self.filled[r0:r1, c0:c1].all():
+            self.last = (r0, r1, c0, c1)
+            return
+        with self.lock:
+            # One fill per rectangle of unfilled tiles: from the first one
+            # left, its run to the right, then the rows below unfilled
+            # across that run.
+            todo = ~self.filled[r0:r1, c0:c1]
+            count_i, count_j = todo.shape
+            while todo.any():
+                i, j = divmod(int(todo.argmax()), count_j)
+                b = j + 1
+                while b < count_j and todo[i, b]:
+                    b += 1
+                e = i + 1
+                while e < count_i and todo[e, j:b].all():
+                    e += 1
+                todo[i:e, j:b] = False
+                y0, y1 = (r0 + i) * _TILE, min((r0 + e) * _TILE, rows)
+                x0, x1 = (c0 + j) * _TILE, min((c0 + b) * _TILE, cols)
+                values = _raw_field(self.waves, np.arange(y0, y1)[:, None],
+                                    np.arange(x0, x1)[None, :])
+                values -= self.low
+                values /= self.span
+                self.buffer[y0:y1, x0:x1] = values
+                self.filled[r0 + i : r0 + e, c0 + j : c0 + b] = True
+
+
 def synthetic_image(
     width: int = 512, height: int = 512, seed: int = 0, components: int = 24
 ) -> WorldImage:
@@ -380,57 +604,18 @@ def synthetic_image(
     ones make a one-pixel camera move visible against the sensor noise,
     like the texture of a photograph.
 
-    The sum runs on two threads: a helper thread fills the top half of
-    the rows while the calling thread fills the bottom half; numpy
-    releases the GIL inside the ufunc loops, so the halves overlap. The
-    pixels are the same bits as a serial sum over all rows. The random
-    draws happen first, in the serial order, and each pixel's value goes
-    through the same elementwise operations on the same operands, in the
-    same order over the components, whichever half holds it and however
-    long its buffer is. The helper is joined before the sum is normalised,
-    so no thread outlives the call, and a process forked afterwards (the
-    process pool of ``harness.run_comparison``) never forks a live thread.
+    The scene is the sum of the components normalised to [0, 1] by its
+    least and greatest value. Those two come from ``_extremes``, which
+    needs the sum at only a few pixels; every other pixel is computed
+    when a read first needs its tile (``WorldImage.ensure``). Each pixel
+    is the same bits as in a sum over the whole scene followed by
+    ``-= low`` and ``/= high - low``: see the module docstring. A scene
+    whose components sum to a constant is 0.5 everywhere.
     """
     if width < 1 or height < 1:
         raise ConfigError("synthetic image dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    u = (np.arange(width) + 0.5) / max(width, height)
-    v = (np.arange(height) + 0.5) / max(width, height)
-    # Per component: fy v, fx u, the phase and the amplitude divisor.
-    waves = []
-    f_low, f_high = 1.5, 64.0
-    for k in range(components):
-        freq = f_low * (f_high / f_low) ** (k / max(components - 1, 1))
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        fx = freq * np.cos(angle)
-        fy = freq * np.sin(angle)
-        waves.append((fy * v, fx * u, phase, freq**0.3))
-    field = np.zeros((height, width))
-
-    def fill(rows: slice) -> None:
-        part = field[rows]
-        term = np.empty_like(part)
-        for fy_v, fx_u, phase, divisor in waves:
-            # sin(2π (fx u + fy v) + phase) / freq^0.3, one operation at a
-            # time in one buffer; IEEE addition commutes, so the outer sum
-            # fy v + fx u rounds exactly as fx u + fy v.
-            np.add.outer(fy_v[rows], fx_u, out=term)
-            term *= 2.0 * np.pi
-            term += phase
-            np.sin(term, out=term)
-            term /= divisor
-            part += term
-
-    middle = height // 2
-    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
-        top = helper.submit(fill, slice(0, middle))
-        fill(slice(middle, height))
-        top.result()
-    low, high = field.min(), field.max()
-    if high > low:
-        field -= low
-        field /= high - low
-    else:
-        field = np.full_like(field, 0.5)
-    return WorldImage._adopt(field)
+    waves = _waves(width, height, seed, components)
+    low, high = _extremes(waves, height, width)
+    if not high > low:
+        return WorldImage._adopt(np.full((height, width), 0.5))
+    return WorldImage._tiled(_Tiles(waves, low, high - low, height, width))

@@ -365,6 +365,7 @@ def test_run_scene_smaller_than_camera_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "smaller than the camera window" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trace.csv").exists()
+    assert not (tmp_path / "out").exists()  # checked before the directory is made
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

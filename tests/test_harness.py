@@ -250,6 +250,67 @@ def test_cli_compare_loads_each_seeds_scene_once(monkeypatch, tmp_path):
     assert loads == [1, 2]
 
 
+@pytest.fixture
+def filled_area(monkeypatch):
+    """The areas of the synthetic-scene tile fills made while it is in use."""
+    from visuomotor import world
+
+    areas = []
+    real_raw_field = world._raw_field
+
+    def counting(waves, rows, cols):
+        field = real_raw_field(waves, rows, cols)
+        if field.ndim == 2:  # a fill; the extremes' candidates come as a list
+            areas.append(field.size)
+        return field
+
+    monkeypatch.setattr(world, "_raw_field", counting)
+    return areas
+
+
+def test_rm_run_fills_under_a_quarter_of_the_synthetic_scene(filled_area):
+    result = run_experiment(default_config(ControllerKind.RM, 1, camera=8))
+    assert result.valid and len(result.trace) == 5000
+    assert 0 < sum(filled_area) < 512 * 512 / 4
+
+
+def test_cli_run_does_not_fill_the_whole_scene(filled_area, tmp_path):
+    from visuomotor import cli
+
+    argv = ["run", "--controller", "rm", "--steps", "300", "--camera", "8",
+            "--hidden", "5", "--seed", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert 0 < sum(filled_area) < 512 * 512 / 4
+
+
+def test_each_block_start_ensures_every_window_the_block_reads(monkeypatch):
+    # Two blocks of each move in turn: each block's steps reach the edge of
+    # what its start ensured, on each side.
+    moves = iter([MotorCommand.RIGHT] * 32 + [MotorCommand.DOWN] * 32
+                 + [MotorCommand.LEFT] * 32 + [MotorCommand.UP] * 32)
+    monkeypatch.setattr(harness, "choose_action", lambda *args: next(moves))
+    asked = []
+    real_ensure = WorldImage.ensure
+
+    def recording(image, top, left, height, width):
+        asked.append((top, left, height, width))
+        return real_ensure(image, top, left, height, width)
+
+    monkeypatch.setattr(WorldImage, "ensure", recording)
+    config = tiny_config(kind=ControllerKind.MINPE, steps=128, camera=4)
+    result = run_experiment(config)
+    xs = [254] + [r.cam_x for r in result.trace]  # from the centre of 512
+    ys = [254] + [r.cam_y for r in result.trace]
+    assert max(xs) == max(ys) == 254 + 32 and (xs[-1], ys[-1]) == (254, 254)
+    blocks = asked[1:]  # the first call is the start window, before the loop
+    assert len(blocks) == 128 // harness._BLOCK_STEPS
+    for t in range(128):
+        top, left, height, width = blocks[t // harness._BLOCK_STEPS]
+        for x, y in ((xs[t], ys[t]), (xs[t + 1], ys[t + 1])):
+            assert left <= x and x + 4 <= left + width
+            assert top <= y and y + 4 <= top + height
+
+
 def test_given_world_matches_loaded_world():
     config = tiny_config(kind=ControllerKind.MINPE, seed=12, steps=40)
     given = run_experiment(config, world=load_world(config))

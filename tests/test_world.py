@@ -526,26 +526,9 @@ def test_synthetic_image_leaves_no_thread_behind():
     assert threading.active_count() == before
 
 
-def test_synthetic_image_helper_errors_propagate():
-    # The helper fills the top half; an error there reaches the caller.
-    calls = []
-    real_sin = np.sin
-
-    def failing_in_helper(*args, **kwargs):
-        calls.append(threading.current_thread())
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("boom")
-        return real_sin(*args, **kwargs)
-
-    with mock.patch.object(world.np, "sin", failing_in_helper):
-        with pytest.raises(FloatingPointError, match="boom"):
-            synthetic_image(8, 8, seed=1, components=3)
-    assert any(t is not threading.main_thread() for t in calls)
-
-
 def test_synthetic_image_is_the_same_from_concurrent_callers():
-    # Four callers, each with its helper: more threads than cores, switching
-    # often. Every scene must still be the serial sum's bytes.
+    # Four callers: more threads than cores, switching often. Every scene
+    # must still be the serial sum's bytes.
     expected = serial_synthetic_pixels(96, 80, 11).tobytes()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -556,3 +539,172 @@ def test_synthetic_image_is_the_same_from_concurrent_callers():
     finally:
         sys.setswitchinterval(interval)
     assert all(scene.pixels.tobytes() == expected for scene in scenes)
+
+
+def serial_raw_field(width, height, seed, components=24):
+    """The scene's sum over all pixels in one buffer, before normalising."""
+    rng = np.random.default_rng(seed)
+    u = (np.arange(width) + 0.5) / max(width, height)
+    v = (np.arange(height) + 0.5) / max(width, height)
+    field = np.zeros((height, width))
+    term = np.empty((height, width))
+    f_low, f_high = 1.5, 64.0
+    for k in range(components):
+        freq = f_low * (f_high / f_low) ** (k / max(components - 1, 1))
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        np.add.outer(freq * np.sin(angle) * v, freq * np.cos(angle) * u, out=term)
+        term *= 2.0 * np.pi
+        term += phase
+        np.sin(term, out=term)
+        term /= freq**0.3
+        field += term
+    return field
+
+
+def assert_exact_extremes(width, height, seed, components):
+    waves = world._waves(width, height, seed, components)
+    low, high = world._extremes(waves, height, width)
+    field = serial_raw_field(width, height, seed, components)
+    assert np.float64(low).tobytes() == field.min().tobytes()
+    assert np.float64(high).tobytes() == field.max().tobytes()
+
+
+@pytest.mark.parametrize("width, height, seed, components", [
+    (512, 512, 1, 24),
+    (512, 512, 2, 24),
+    (1, 1, 3, 24),  # one pixel: a constant scene
+    (1, 300, 4, 24),
+    (300, 1, 5, 24),
+    (130, 65, 6, 24),  # the last block of rows is short
+    (64, 200, 7, 1),
+    (40, 40, 8, 0),  # no components: every pixel is zero
+    (97, 33, 9, 200),
+])
+def test_extremes_equal_the_eager_min_and_max(width, height, seed, components):
+    assert_exact_extremes(width, height, seed, components)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 90), height=st.integers(1, 90),
+       seed=st.integers(0, 2**32), components=st.integers(0, 30))
+def test_extremes_equal_the_eager_min_and_max_on_random_scenes(
+    width, height, seed, components
+):
+    assert_exact_extremes(width, height, seed, components)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_extremes_stay_exact_while_the_approximation_is_within_half_the_margin(
+    seed, monkeypatch
+):
+    # With the margin widened to half the amplitude sum and the
+    # approximation off by up to 0.49 of it at every pixel, many pixels
+    # are ranked out of order and are candidates; the extremes must not
+    # change.
+    width, height = 160, 120
+    waves = world._waves(width, height, seed, 24)
+    monkeypatch.setattr(world, "_MARGIN", 0.5)
+    margin = 0.5 * np.sum(1.0 / waves.divisor)
+    jitter = np.random.default_rng(seed)
+    real_matmul = np.matmul
+
+    def off_by_up_to_half_the_margin(a, b, out):
+        real_matmul(a, b, out=out)
+        out += jitter.uniform(-0.49 * margin, 0.49 * margin, out.shape)
+        return out
+
+    with mock.patch.object(world.np, "matmul", off_by_up_to_half_the_margin):
+        low, high = world._extremes(waves, height, width)
+    field = serial_raw_field(width, height, seed)
+    assert (low, high) == (field.min(), field.max())
+
+
+def test_constant_synthetic_scenes_are_half_grey():
+    for image in (synthetic_image(1, 1, seed=3), synthetic_image(5, 4, components=0)):
+        assert np.all(image.pixels == 0.5)
+
+
+@pytest.mark.parametrize("width, height, seed, camera", [
+    (512, 512, 1, 8),
+    (75, 43, 2, 5),  # edge tiles are partial
+    (40, 200, 3, 32),
+])
+def test_windows_read_after_ensure_equal_the_filled_scene(width, height, seed, camera):
+    full = synthetic_image(width, height, seed=seed).pixels
+    image = synthetic_image(width, height, seed=seed)
+    rng = np.random.default_rng(seed)
+    left, top = (width - camera) // 2, (height - camera) // 2
+    for _ in range(600):
+        vx, vy = command_to_velocity(COMMANDS[rng.integers(5)])
+        left = min(max(left + 3 * vx, 0), width - camera)
+        top = min(max(top + 3 * vy, 0), height - camera)
+        pixels = image.ensure(top, left, camera, camera)
+        window = pixels[top : top + camera, left : left + camera]
+        assert window.tobytes() == full[top : top + camera, left : left + camera].tobytes()
+    assert image.pixels.tobytes() == full.tobytes()
+
+
+def test_ensure_clips_to_the_scene_and_fills_only_what_it_touches():
+    image = synthetic_image(100, 70, seed=4)
+    filled = image._tiles.filled
+    assert not filled.any()
+    image.ensure(-50, -50, 40, 40)  # wholly outside
+    image.ensure(60, 90, 0, 10)  # empty
+    assert not filled.any()
+    image.ensure(-5, 97, 10, 20)  # the top-right tile only
+    assert filled.sum() == 1 and filled[0, -1]
+    pixels = image.ensure(0, 0, 70, 100)
+    assert filled.all() and pixels is image.pixels
+
+
+def test_each_pixel_is_filled_once(monkeypatch):
+    areas = []
+    real_raw_field = world._raw_field
+
+    def counting(waves, rows, cols):
+        field = real_raw_field(waves, rows, cols)
+        areas.append(field.size)
+        return field
+
+    expected = synthetic_image(160, 128, seed=5).pixels
+    image = synthetic_image(160, 128, seed=5)  # 5 x 4 tiles
+    monkeypatch.setattr(world, "_raw_field", counting)
+    image.ensure(40, 40, 10, 40)  # tiles (1, 1) and (1, 2)
+    assert image.pixels.tobytes() == expected.tobytes()
+    assert sum(areas) == 160 * 128
+
+
+def test_shared_scene_filled_from_concurrent_readers(monkeypatch):
+    # Four threads read random windows of one scene, switching often.
+    # Every tile is filled once, and every pixel is the filled scene's.
+    width, height = 200, 160
+    expected = synthetic_image(width, height, seed=12).pixels.tobytes()
+    image = synthetic_image(width, height, seed=12)
+    areas = []
+    real_raw_field = world._raw_field
+
+    def counting(waves, rows, cols):
+        field = real_raw_field(waves, rows, cols)
+        areas.append(field.size)
+        return field
+
+    monkeypatch.setattr(world, "_raw_field", counting)
+
+    def reader(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            top, left = rng.integers(-10, height), rng.integers(-10, width)
+            image.ensure(int(top), int(left), 24, 24)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(reader, seed) for seed in range(4)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert image.pixels.tobytes() == expected
+    assert sum(areas) == width * height
