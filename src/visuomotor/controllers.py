@@ -3,12 +3,15 @@
 Four policies map recent prediction errors to the next motor command:
 pure random babbling (RM), replaying the command with the smallest
 recent error (MinPE), the largest recent error (MaxPE), or the largest
-drop in sliding-mean error (MaxLP). The reactive policies are pure
-functions of the history, and ``choose_action`` alone draws from a
+drop in sliding-mean error (MaxLP). Commands are codes (code i is
+``COMMANDS[i]``). Each reactive policy is a pure function of a run's
+command codes and errors so far, and ``choose_code`` alone draws from a
 controller's generator: for RM, for the epsilon chance of acting at
 random, and for the fallback when a policy has nothing to score. RM
-never reads the history, so a run draws its whole command sequence once,
-up front (``random_commands``).
+never reads the log, so a run draws its whole command sequence once, up
+front (``random_commands``). ``choose_action`` makes the same choice
+from a bounded ``ErrorHistory`` ring, for callers that go a step at a
+time.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -95,9 +98,14 @@ class ControllerConfig:
             raise ConfigError("seed must be non-negative")
 
 
+def _random_code(rng: np.random.Generator) -> int:
+    """One uniform draw of a command code."""
+    return int(rng.integers(len(COMMANDS)))
+
+
 def choose_random(rng: np.random.Generator) -> MotorCommand:
     """Motor babbling: uniform over the five commands."""
-    return COMMANDS[int(rng.integers(len(COMMANDS)))]
+    return COMMANDS[_random_code(rng)]
 
 
 def random_commands(rng: np.random.Generator, steps: int) -> np.ndarray:
@@ -112,61 +120,84 @@ def random_commands(rng: np.random.Generator, steps: int) -> np.ndarray:
     return rng.integers(len(COMMANDS), size=steps)
 
 
-def choose_pe(
-    history: ErrorHistory,
-    cfg: ControllerConfig,
-    extreme: Callable[..., HistoryRecord],
-) -> MotorCommand | None:
+def _pe(pick: Callable[[np.ndarray], int], codes: np.ndarray, errors: np.ndarray,
+        cfg: ControllerConfig) -> int | None:
     """Repeat the command of the extreme error in the lookback window:
-    ``extreme`` is ``min`` for MinPE and ``max`` for MaxPE.
+    ``pick`` is ``np.argmin`` for MinPE and ``np.argmax`` for MaxPE.
 
-    Ties go to the most recent record; an empty history has nothing to
-    score and gives None.
+    Ties go to the most recent step; an empty log has nothing to score
+    and gives None.
     """
-    recent = list(history)[-cfg.window:]
-    if not recent:
+    if not len(errors):
         return None
-    # min and max keep the first of equal keys, so scanning newest first
-    # lets the most recent record win a tie.
-    return extreme(reversed(recent), key=attrgetter("error")).command
+    # argmin and argmax return the first of equal values, so scanning
+    # newest first lets the most recent step win a tie.
+    return int(codes[-1 - pick(errors[-cfg.window:][::-1])])
 
 
-def choose_maxlp(history: ErrorHistory, cfg: ControllerConfig) -> MotorCommand | None:
+def _maxlp(codes: np.ndarray, errors: np.ndarray, cfg: ControllerConfig) -> int | None:
     """Repeat the command whose step showed the largest learning progress.
 
-    Progress at record time tau is the drop in sliding-mean error,
-    em(tau - 1) - em(tau), where em(tau) is the mean error of the records
-    with timestep in (tau - em_window, tau]. The ring holds one record per
-    step, so with m = em_window both windows hold m errors from the ring's
-    (m + 1)-th record on, and the drop is (e[tau - m] - e[tau]) / m. Before
-    that both windows start at the ring's first record, which has no
-    em(tau - 1) and is skipped. With fewer than two records there is
-    nothing to score, and the result is None.
+    Progress at step i is the drop in sliding-mean error, em(i - 1) - em(i),
+    where em(i) is the mean error of steps (i - em_window, i]. With
+    m = em_window both windows hold m errors from step m on, and the drop
+    is (e[i - m] - e[i]) / m. Before that both windows start at the log's
+    first step, which has no em(i - 1) and is skipped; their prefix sums
+    are added left to right (``np.cumsum``, like Python 3.11's ``sum``):
+    a pairwise or compensated sum rounds some of them differently, and
+    that can change the choice.
+    With fewer than two steps there is nothing to score, and the result
+    is None.
 
-    Ties go to the most recent record, but ties of the rounded progress
-    values, not of the real ones. Below ring index m the short-window
-    formula can round progress that is equal in real arithmetic apart, and
-    then an older record may win: four records of error
-    e = 0.4108733470300775 with m = 4 and ``window`` 2 score 0.0 at
-    index 2, but ((e + e + e) / 3 - e) / 4 rounds to -1.4e-17 at index 3,
-    so index 2's command is chosen. Those indices are scored only while
-    the ring fills, in a run's first ``window + em_window`` steps.
+    Ties go to the most recent step, but ties of the rounded progress
+    values, not of the real ones. Below step m the short-window formula
+    can round progress that is equal in real arithmetic apart, and then
+    an older step may win: four steps of error e = 0.4108733470300775
+    with m = 4 and ``window`` 2 score 0.0 at step 2, but
+    ((e + e + e) / 3 - e) / 4 rounds to -1.4e-17 at step 3, so step 2's
+    command is chosen. Those steps are scored only in a run's first
+    ``window + em_window`` steps.
     """
-    records = list(history)
-    errors = [r.error for r in records]
-    m = cfg.em_window
-    best_command = None
-    best_progress = -math.inf
-    for i in range(max(1, len(records) - cfg.window), len(records)):
-        if i >= m:
-            progress = (errors[i - m] - errors[i]) / m
-        else:
-            # mean(errors[:i]) - mean(errors[:i + 1]), rearranged.
-            progress = (sum(errors[:i]) / i - errors[i]) / (i + 1)
-        if progress >= best_progress:
-            best_command = records[i].command
-            best_progress = progress
-    return best_command
+    n, m = len(errors), cfg.em_window
+    if n < 2:
+        return None
+    lo = max(1, n - cfg.window)
+    mid = min(max(lo, m), n)  # the first step scored with full windows
+    progress = (errors[mid - m : n - m] - errors[mid:]) / m
+    if lo < mid:
+        # mean(e[:i]) - mean(e[:i + 1]), rearranged.
+        i = np.arange(lo, mid)
+        sums = np.cumsum(errors[: mid - 1])[i - 1]
+        progress = np.concatenate(((sums / i - errors[lo:mid]) / (i + 1), progress))
+    # argmax returns the first of equal values: scan newest first.
+    return int(codes[-1 - np.argmax(progress[::-1])])
+
+
+# The reactive policies: each scores a run's command codes and errors so
+# far, oldest first, and returns the code to repeat, or None.
+_POLICIES: dict[ControllerKind, Callable[..., int | None]] = {
+    ControllerKind.MINPE: partial(_pe, np.argmin),
+    ControllerKind.MAXPE: partial(_pe, np.argmax),
+    ControllerKind.MAXLP: _maxlp,
+}
+
+
+def choose_code(kind: ControllerKind, codes: np.ndarray, errors: np.ndarray,
+                cfg: ControllerConfig, rng: np.random.Generator) -> int:
+    """The next command code for ``kind``, from the codes and errors of the
+    steps so far, oldest first, and the only draws a controller makes.
+
+    RM ignores the log and makes one integer draw. Every other kind makes
+    one uniform draw, then one integer draw only when that falls below
+    epsilon or its policy returns None.
+    """
+    kind = ControllerKind(kind)
+    if kind is ControllerKind.RM or rng.random() < cfg.epsilon:
+        return _random_code(rng)
+    code = _POLICIES[kind](codes, errors, cfg)
+    if code is None:
+        return _random_code(rng)
+    return code
 
 
 def choose_action(
@@ -175,19 +206,13 @@ def choose_action(
     cfg: ControllerConfig,
     rng: np.random.Generator,
 ) -> MotorCommand:
-    """The next command for ``kind``, from the only draws a controller makes.
+    """``choose_code`` on the codes and errors of ``history``, as a command:
+    the choice for callers that keep a ring rather than a whole log.
 
-    RM ignores the history and makes one integer draw (``choose_random``).
-    Every other kind makes one uniform draw, then one integer draw only
-    when that falls below epsilon or its policy returns None.
+    A ring of capacity ``window + em_window`` gives the choices of the
+    whole log: PE reads only the last ``window`` errors, and MaxLP scores
+    steps before ``em_window`` only while the ring holds the whole log.
     """
-    kind = ControllerKind(kind)
-    if kind is ControllerKind.RM or rng.random() < cfg.epsilon:
-        return choose_random(rng)
-    if kind is ControllerKind.MAXLP:
-        command = choose_maxlp(history, cfg)
-    else:
-        command = choose_pe(history, cfg, min if kind is ControllerKind.MINPE else max)
-    if command is None:
-        return choose_random(rng)
-    return command
+    codes = np.array([COMMANDS.index(r.command) for r in history], dtype=int)
+    errors = np.array([r.error for r in history], dtype=float)
+    return COMMANDS[choose_code(kind, codes, errors, cfg, rng)]

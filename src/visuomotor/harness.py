@@ -12,11 +12,12 @@ of the group's noise block (all zero at sigma 0), into rows of its own
 and random babbling (RM), which never reads the errors, is planned at
 its start and senses a noise block's rows at a time. Every run then
 learns alike from its row, one step at a time, and logs its path,
-command codes and errors in arrays of one layout. A run reads only the
-part of a synthetic scene it can reach: at each noise block's start it
-asks the scene to fill its camera window grown by the block's
-``_BLOCK_STEPS`` steps on each side, since a step moves the camera at
-most one pixel.
+command codes and errors in arrays of one layout. That log is the run's
+only record: a reactive run's controller chooses from it. A run reads
+only the part of a synthetic scene it can reach: at each noise block's
+start an RM run asks the scene to fill its block's windows, and a
+reactive run its camera window grown by the block's ``_BLOCK_STEPS``
+steps on each side, since a step moves the camera at most one pixel.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .controllers import (
-    ControllerConfig,
-    ControllerKind,
-    ErrorHistory,
-    choose_action,
-    random_commands,
-)
+from .controllers import ControllerConfig, ControllerKind, choose_code, random_commands
 from .elm import (
     ElmConfig,
     ElmState,
@@ -217,10 +212,11 @@ def run_experiment(
 ) -> RunResult:
     """Execute one seeded run and return its trace, metrics and model.
 
-    Each step observes the current frame, picks a command from the error
-    history (RM's come from a sequence drawn at the start), forecasts the
-    next frame for that command, moves, observes the new frame, scores
-    the forecast, and trains the model online on the transition.
+    Each step observes the current frame, picks a command from the run's
+    log of commands and errors (RM's come from a sequence drawn at the
+    start), forecasts the next frame for that command, moves, observes
+    the new frame, scores the forecast, and trains the model online on
+    the transition.
     ``world`` is the scene ``load_world(config)`` returns, for callers
     that have already loaded it. The run is ``_run_lockstep`` on a group
     of one.
@@ -240,8 +236,9 @@ def run_experiment(
 # 256 KB at a 32x32 camera.
 NOISE_BLOCK_FRAMES = 32
 _BLOCK_STEPS = NOISE_BLOCK_FRAMES // 2  # the steps one noise block serves
-# Row i is the (vx, vy) of command code i, the command COMMANDS[i].
-_VELOCITY_ROWS = np.array([command_to_velocity(c) for c in COMMANDS])
+# Entry i is the (vx, vy) of command code i, the command COMMANDS[i].
+_VELOCITIES = [command_to_velocity(c) for c in COMMANDS]
+_VELOCITY_ROWS = np.array(_VELOCITIES)
 
 
 # A stretch of the walk shorter than this is cheaper one move at a time.
@@ -290,15 +287,18 @@ class _Cell:
     they are sensed, and ``hidden[j]`` (``hiddens[j]``) holds the hidden
     response to input j.
 
-    A reactive run has one pair of rows, which each step senses into, and
-    an error history, and logs each step as it completes. A babbling (RM)
-    run has a pair for each step of a noise block and no history: it fills
-    its log's path and codes when it is built, and ``fill_block`` writes
-    each noise block's rows and their hidden responses. A failed step
-    leaves what it raised in ``exc``, the run's one failure slot.
+    The log is the run's only record of its steps: a reactive run's
+    controller chooses from its ``codes`` and ``errors`` so far, and
+    nothing keeps a second history. A reactive run has one pair of rows,
+    which each step senses into, and writes a step's code and position
+    when it chooses them. A babbling (RM) run has a pair for each step of
+    a noise block: it fills its log's path and codes when it is built,
+    and ``fill_block`` writes each noise block's rows and their hidden
+    responses. A failed step leaves what it raised in ``exc``, the run's
+    one failure slot.
     """
 
-    __slots__ = ("controller", "history", "rng", "state", "lefts", "tops",
+    __slots__ = ("controller", "rng", "state", "lefts", "tops",
                  "codes", "errors", "rows", "frames", "hidden", "hiddens",
                  "targets", "done", "exc")
 
@@ -310,14 +310,12 @@ class _Cell:
         self.rng = rng
         self.state = state
         if controller.kind is ControllerKind.RM:
-            self.history = None
             self.codes = random_commands(rng, steps)
             velocities = _VELOCITY_ROWS[self.codes]
             self.lefts = _clamped_walk(cam.left, velocities[:, 0], max_left)
             self.tops = _clamped_walk(cam.top, velocities[:, 1], max_top)
             count = _BLOCK_STEPS
         else:
-            self.history = ErrorHistory(controller.window + controller.em_window)
             self.lefts = np.full(steps + 1, cam.left)
             self.tops = np.full(steps + 1, cam.top)
             self.codes = np.empty(steps, int)
@@ -332,21 +330,28 @@ class _Cell:
         self.done = steps  # the steps logged, once the run is over
         self.exc: Exception | None = None  # what a failed step raised
 
-    def fill_block(self, t: int, windows: np.ndarray, noise: np.ndarray) -> None:
+    def fill_block(self, t: int, world: WorldImage, windows: np.ndarray,
+                   noise: np.ndarray) -> None:
         """Fill ``rows`` and ``hidden`` for a babbling run's ``count`` steps
         from t to the noise block's end or the run's.
 
-        ``windows`` is the scene's (top, left, height, width) window view
-        and ``noise`` the block's noise frames. The ``count + 1`` positions
-        the steps start and end at are gathered in one index. Step t + i
-        senses window i against noise frame 2i as its input and window
-        i + 1 against frame 2i + 1 as its target: one ``_sense`` for the
-        even frames, one for the odd. ``_sense`` is elementwise, so each
-        frame has the bits of its own ``_sense``, and one ``hidden_into``
-        on the stack of input rows gives each row the bits of its input.
+        ``windows`` is the (top, left, height, width) window view of
+        ``world``'s pixels and ``noise`` the block's noise frames. The
+        ``count + 1`` positions the steps start and end at are known, so
+        one ``ensure`` fills the bounding box of their windows, and one
+        index gathers the windows. Step t + i senses window i against
+        noise frame 2i as its input and window i + 1 against frame 2i + 1
+        as its target: one ``_sense`` for the even frames, one for the
+        odd. ``_sense`` is elementwise, so each frame has the bits of its
+        own ``_sense``, and one ``hidden_into`` on the stack of input rows
+        gives each row the bits of its input.
         """
         span = slice(t, t + _BLOCK_STEPS + 1)
-        seen = windows[self.tops[span], self.lefts[span]]
+        tops, lefts = self.tops[span], self.lefts[span]
+        h, w = self.frames.shape[1:]
+        top, left = int(tops.min()), int(lefts.min())
+        world.ensure(top, left, int(tops.max()) - top + h, int(lefts.max()) - left + w)
+        seen = windows[tops, lefts]
         count = len(seen) - 1
         rows = self.rows[:count]
         rows[:, 0, -2:] = _VELOCITY_ROWS[self.codes[t : t + count]]
@@ -365,10 +370,10 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
     hidden layer (W, b) and the same sensor-noise stream, so the group
     loads the scene once, draws W and b once and shares them read-only,
     and draws each noise block once for all its runs. Each run keeps its
-    own readout and accumulator, controller generator and camera, and a
-    reactive run its error history. A run's trace and model are the same
-    bits as those of the run alone, and as those of a loop of the public
-    ``observe``, ``predict``, ``apply_motor``, ``prediction_error`` and
+    own readout and accumulator, controller generator, camera and log. A
+    run's trace and model are the same bits as those of the run alone,
+    and as those of a loop of the public ``observe``, ``choose_action``,
+    ``predict``, ``apply_motor``, ``prediction_error`` and
     ``update_online``:
 
     - Every frame is sensed by ``observe``'s ``_sense`` straight into a
@@ -393,20 +398,24 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
       up front.
     - Every window is read from the scene's pixel buffer, which a
       synthetic scene fills only where ``WorldImage.ensure`` asks. At each
-      noise block's start every live run ensures the rectangle its next
+      noise block's start every live run makes one ``ensure``. An RM run
+      knows its block's positions, and asks for the bounding box of their
+      windows. A reactive run asks for the rectangle its next
       ``_BLOCK_STEPS`` steps can reach: a step moves the camera at most
       one pixel, so that is the window at the run's corner grown by
-      ``_BLOCK_STEPS`` on each side, clipped to the scene. One call per
-      run per block, whatever its controller.
+      ``_BLOCK_STEPS`` on each side, clipped to the scene.
     - A babbling (RM) run draws its command codes at the start, as
-      ``steps`` ``choose_random`` calls would (``random_commands``), keeps
-      no history, and clamps its whole path once, as the steps would
-      (``_clamped_walk``). Its frames and hidden responses come a noise
-      block at a time from ``_Cell.fill_block``. A position or command
-      known ahead counts only once its step completes. A reactive run
-      senses, chooses and computes its hidden response per step, into its
-      one pair of rows, and logs its command code and position as the
-      step completes.
+      ``steps`` ``choose_random`` calls would (``random_commands``), and
+      clamps its whole path once, as the steps would (``_clamped_walk``).
+      Its frames and hidden responses come a noise block at a time from
+      ``_Cell.fill_block``. A reactive run senses, chooses and computes
+      its hidden response per step, into its one pair of rows.
+      ``choose_code`` scores the run's own log, its codes and errors so
+      far, and the step writes its code and position to the log when it
+      chooses them; nothing keeps a second history. A scored ring of
+      ``window + em_window`` records, as ``choose_action`` takes, would
+      choose the same. Either way a position or command logged ahead
+      counts only once its step completes.
     - Every run then learns alike, from its row's hidden response, read
       uncopied: the forecast, the score and the update share it. The
       residual ``target - forecast`` is computed once: the error is
@@ -458,27 +467,26 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
             ended = False
             for cell in live:
                 try:
-                    if k == 0:  # the scene this block's steps can reach
-                        world.ensure(cell.tops.item(t) - _BLOCK_STEPS,
-                                     cell.lefts.item(t) - _BLOCK_STEPS,
-                                     h + 2 * _BLOCK_STEPS, w + 2 * _BLOCK_STEPS)
                     # The step's rows j: input, target and hidden response.
-                    if cell.history is None:
+                    if cell.controller.kind is ControllerKind.RM:
                         if k == 0:
-                            cell.fill_block(t, windows, noise)
+                            cell.fill_block(t, world, windows, noise)
                         j = k // 2
                     else:
                         left, top = cell.lefts.item(t), cell.tops.item(t)
+                        if k == 0:  # the scene this block's steps can reach
+                            world.ensure(top - _BLOCK_STEPS, left - _BLOCK_STEPS,
+                                         h + 2 * _BLOCK_STEPS, w + 2 * _BLOCK_STEPS)
                         frames = cell.frames
                         _sense(windows[top, left], noise[k], frames[0])
-                        command = choose_action(cell.controller.kind, cell.history,
-                                                cell.controller, cell.rng)
-                        vx, vy = command_to_velocity(command)
+                        code = choose_code(cell.controller.kind, cell.codes[:t],
+                                           cell.errors[:t], cell.controller, cell.rng)
+                        vx, vy = _VELOCITIES[code]
                         x = cell.rows[0, 0]
-                        x[n] = vx
-                        x[n + 1] = vy
+                        x[n], x[n + 1] = vx, vy
                         left = min(max(left + vx, 0), max_left)
                         top = min(max(top + vy, 0), max_top)
+                        cell.codes[t], cell.lefts[t + 1], cell.tops[t + 1] = code, left, top
                         _sense(windows[top, left], noise[k + 1], frames[1])
                         j = 0
                         hidden_into(cell.state, x, cell.hiddens[0])
@@ -491,11 +499,6 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
                         raise NumericError(f"prediction error is {error!r} at step {t}")
                     rls_update(cell.state, work, residual, hidden)
                     cell.errors[t] = error
-                    if cell.history is not None:  # RM's log is set up front
-                        cell.history.append(t, command, error)
-                        cell.codes[t] = COMMANDS.index(command)
-                        cell.lefts[t + 1] = left
-                        cell.tops[t + 1] = top
                 except Exception as exc:  # noqa: BLE001 - one run cannot sink the group
                     cell.exc = exc
                     cell.done = t

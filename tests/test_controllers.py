@@ -6,6 +6,8 @@ record). Learning-progress cases are hand-computed from the sliding
 mean definition, and checked against it in exact arithmetic.
 """
 
+import functools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from visuomotor import controllers
 from visuomotor.controllers import (
     ControllerConfig,
     ControllerKind,
     ErrorHistory,
     choose_action,
-    choose_maxlp,
-    choose_pe,
+    choose_code,
     choose_random,
     random_commands,
 )
@@ -40,6 +42,15 @@ def history_of(*records, capacity=64):
     for t, cmd, err in records:
         history.append(t, cmd, err)
     return history
+
+
+def policy_pick(kind, history, cfg):
+    """``kind``'s scoring function on the codes and errors of ``history``'s
+    records, as a command, or None when it has nothing to score."""
+    codes = np.array([COMMANDS.index(r.command) for r in history], dtype=int)
+    errors = np.array([r.error for r in history], dtype=float)
+    code = controllers._POLICIES[kind](codes, errors, cfg)
+    return None if code is None else COMMANDS[code]
 
 
 def config_for(kind, epsilon=0.0, window=20, em_window=10):
@@ -117,13 +128,13 @@ def test_random_commands_equal_choose_random_calls(drawn_before, seed, steps):
 def test_minpe_picks_smallest_error():
     history = history_of((1, L, 0.5), (2, R, 0.1), (3, U, 0.3))
     cfg = config_for(ControllerKind.MINPE)
-    assert choose_pe(history, cfg, min) == R
+    assert policy_pick(ControllerKind.MINPE, history, cfg) == R
 
 
 def test_minpe_empty_history_falls_back_to_random():
     history = ErrorHistory(capacity=8)
     cfg = config_for(ControllerKind.MINPE)
-    assert choose_pe(history, cfg, min) is None
+    assert policy_pick(ControllerKind.MINPE, history, cfg) is None
     seen = {
         choose_action(cfg.kind, history, cfg, np.random.default_rng(seed))
         for seed in range(50)
@@ -135,26 +146,26 @@ def test_minpe_empty_history_falls_back_to_random():
 def test_minpe_tie_goes_to_most_recent():
     history = history_of((1, L, 0.2), (2, R, 0.2))
     cfg = config_for(ControllerKind.MINPE)
-    assert choose_pe(history, cfg, min) == R
+    assert policy_pick(ControllerKind.MINPE, history, cfg) == R
 
 
 def test_minpe_respects_window():
     # The global minimum sits outside the lookback window.
     history = history_of((1, S, 0.01), (2, L, 0.5), (3, R, 0.4))
     cfg = config_for(ControllerKind.MINPE, window=2)
-    assert choose_pe(history, cfg, min) == R
+    assert policy_pick(ControllerKind.MINPE, history, cfg) == R
 
 
 def test_maxpe_picks_largest_error():
     history = history_of((1, L, 0.5), (2, R, 0.1), (3, U, 0.3))
     cfg = config_for(ControllerKind.MAXPE)
-    assert choose_pe(history, cfg, max) == L
+    assert policy_pick(ControllerKind.MAXPE, history, cfg) == L
 
 
 def test_maxpe_all_equal_gives_most_recent():
     history = history_of((1, L, 0.25), (2, R, 0.25), (3, D, 0.25))
     cfg = config_for(ControllerKind.MAXPE)
-    assert choose_pe(history, cfg, max) == D
+    assert policy_pick(ControllerKind.MAXPE, history, cfg) == D
 
 
 def test_maxpe_epsilon_one_is_uniform():
@@ -183,8 +194,8 @@ def test_minpe_maxpe_agree_with_scan_oracle():
         expected_min = scan_oracle(history, cfg.window, "min")
         expected_max = scan_oracle(history, cfg.window, "max")
         # On an empty window both return None, as the oracle does.
-        assert choose_pe(history, cfg, min) == expected_min
-        assert choose_pe(history, cfg, max) == expected_max
+        assert policy_pick(ControllerKind.MINPE, history, cfg) == expected_min
+        assert policy_pick(ControllerKind.MAXPE, history, cfg) == expected_max
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +208,13 @@ def test_maxlp_hand_computed_example():
     # progress: LP(2)=0.1, LP(3)=0.1, LP(4)=0.05 -> tie broken to t=3.
     history = history_of((1, L, 0.4), (2, R, 0.2), (3, U, 0.2), (4, D, 0.1))
     cfg = config_for(ControllerKind.MAXLP, em_window=2)
-    assert choose_maxlp(history, cfg) == U
+    assert policy_pick(ControllerKind.MAXLP, history, cfg) == U
 
 
 def test_maxlp_constant_errors_gives_most_recent():
     history = history_of((1, L, 0.5), (2, R, 0.5), (3, U, 0.5), (4, D, 0.5))
     cfg = config_for(ControllerKind.MAXLP, em_window=2)
-    assert choose_maxlp(history, cfg) == D
+    assert policy_pick(ControllerKind.MAXLP, history, cfg) == D
 
 
 def test_maxlp_increasing_errors_picks_least_negative():
@@ -212,13 +223,13 @@ def test_maxlp_increasing_errors_picks_least_negative():
     # LP(2)=-0.05, LP(3)=-0.10, LP(4)=-0.10 -> argmax is t=2.
     history = history_of((1, L, 0.1), (2, R, 0.2), (3, U, 0.3), (4, D, 0.4))
     cfg = config_for(ControllerKind.MAXLP, em_window=2)
-    assert choose_maxlp(history, cfg) == R
+    assert policy_pick(ControllerKind.MAXLP, history, cfg) == R
 
 
 def test_maxlp_insufficient_history_falls_back_to_random():
     cfg = config_for(ControllerKind.MAXLP, em_window=2)
     for history in (ErrorHistory(capacity=8), history_of((1, D, 0.9))):
-        assert choose_maxlp(history, cfg) is None
+        assert policy_pick(ControllerKind.MAXLP, history, cfg) is None
         seen = {
             choose_action(cfg.kind, history, cfg, np.random.default_rng(seed))
             for seed in range(40)
@@ -228,13 +239,13 @@ def test_maxlp_insufficient_history_falls_back_to_random():
 
 
 @st.composite
-def error_steps(draw):
-    """0 to 45 (command index, error) steps, the length drawn uniformly.
-    Errors on a coarse grid make real-arithmetic ties common; half the
-    histories mix them with arbitrary floats in [0, 1]."""
+def error_steps(draw, min_size=0, max_size=45):
+    """``min_size`` to ``max_size`` (command index, error) steps, the length
+    drawn uniformly. Errors on a coarse grid make real-arithmetic ties
+    common; half the histories mix them with arbitrary floats in [0, 1]."""
     grid = st.integers(0, 8).map(lambda k: k / 8.0)
     errors = draw(st.sampled_from([grid, st.one_of(grid, st.floats(0.0, 1.0))]))
-    n = draw(st.integers(0, 45))
+    n = draw(st.integers(min_size, max_size))
     step = st.tuples(st.integers(0, len(COMMANDS) - 1), errors)
     return draw(st.lists(step, min_size=n, max_size=n))
 
@@ -296,8 +307,70 @@ def test_maxlp_matches_exact_progress(
         history.append(t, COMMANDS[cmd], err)
 
 
+# Eleven errors in which the prefix sum of the first nine, added left to
+# right, and added pairwise (numpy's ``np.sum`` from eight terms on) round
+# apart.
+RING_FILL_ERRORS = [
+    0.9716899756197547, 0.774664134923732, 0.7911339481728052,
+    0.75926850053958, 0.5969877305237564, 0.9176922571709127,
+    0.689630155447081, 0.500356430736871, 0.07708380850053875,
+    0.48844922708552385, 0.7847495425236084,
+]
+
+
+def test_maxlp_ring_fill_adds_prefix_sums_left_to_right():
+    errors = np.array(RING_FILL_ERRORS)
+    codes = np.arange(len(errors)) % len(COMMANDS)
+    cfg = config_for(ControllerKind.MAXLP, window=2, em_window=10)
+    # Step 9 is scored while the windows fill, step 10 with full windows.
+    left_to_right = functools.reduce(operator.add, RING_FILL_ERRORS[:9])
+    by_left_to_right = (left_to_right / 9 - errors[9]) / 10
+    by_pairs = (float(np.sum(errors[:9])) / 9 - errors[9]) / 10
+    full = (errors[0] - errors[10]) / 10
+    assert by_left_to_right > full == by_pairs
+    assert COMMANDS[controllers._maxlp(codes, errors, cfg)] == S  # step 9's
+
+
+def test_maxlp_ring_fill_ties_are_of_rounded_progress():
+    # The example of ``_maxlp``'s docstring: progress 0.0 at step 2 and
+    # ((e + e + e) / 3 - e) / 4 < 0 at step 3, equal in real arithmetic.
+    e = 0.4108733470300775
+    assert (e + e + e) / 3 - e < 0
+    cfg = config_for(ControllerKind.MAXLP, window=2, em_window=4)
+    assert controllers._maxlp(np.arange(4), np.full(4, e), cfg) == 2
+
+
 # ---------------------------------------------------------------------------
 # Dispatch and shared properties
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(ControllerKind)),
+    window=st.integers(1, 12),
+    em_window=st.integers(1, 12),
+    data=st.data(),
+    epsilon=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_choice_from_whole_log_equals_choice_from_ring(
+    kind, window, em_window, data, epsilon, seed
+):
+    # The closed loop scores its whole log; a ring of window + em_window
+    # records must give the same choice and the same draws at every step.
+    cfg = config_for(kind, epsilon=epsilon, window=window, em_window=em_window)
+    capacity = window + em_window
+    steps = data.draw(error_steps(min_size=capacity + 1, max_size=capacity + 30))
+    codes = np.array([code for code, _ in steps], dtype=int)
+    errors = np.array([error for _, error in steps])
+    ring = ErrorHistory(capacity=capacity)
+    log_rng, ring_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for t in range(len(steps) + 1):
+        chosen = choose_code(kind, codes[:t], errors[:t], cfg, log_rng)
+        assert COMMANDS[chosen] == choose_action(kind, ring, cfg, ring_rng), t
+        assert log_rng.bit_generator.state == ring_rng.bit_generator.state
+        if t < len(steps):
+            ring.append(t, COMMANDS[codes[t]], errors[t])
 
 
 def test_dispatch_rm_matches_choose_random_stream():
@@ -411,7 +484,9 @@ def test_maxlp_scaling_preserves_choices():
             err = float(rng.integers(0, 256)) / 256.0
             plain.append(t, cmd, err)
             scaled.append(t, cmd, 4.0 * err)
-        assert choose_maxlp(plain, cfg) == choose_maxlp(scaled, cfg)
+        assert policy_pick(ControllerKind.MAXLP, plain, cfg) == policy_pick(
+            ControllerKind.MAXLP, scaled, cfg
+        )
 
 
 # ---------------------------------------------------------------------------

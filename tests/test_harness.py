@@ -86,7 +86,8 @@ def test_different_master_seeds_differ():
 
 
 def test_forced_stay_noise_free_error_collapses(monkeypatch):
-    monkeypatch.setattr(harness, "choose_action", lambda *args: MotorCommand.STAY)
+    stay = COMMANDS.index(MotorCommand.STAY)
+    monkeypatch.setattr(harness, "choose_code", lambda *args: stay)
     config = tiny_config(kind=ControllerKind.MINPE, seed=3, steps=60, sigma=0.0)
     result = run_experiment(config)
     errors = [r.error for r in result.trace]
@@ -288,7 +289,7 @@ def test_each_block_start_ensures_every_window_the_block_reads(monkeypatch):
     # what its start ensured, on each side.
     moves = iter([MotorCommand.RIGHT] * 32 + [MotorCommand.DOWN] * 32
                  + [MotorCommand.LEFT] * 32 + [MotorCommand.UP] * 32)
-    monkeypatch.setattr(harness, "choose_action", lambda *args: next(moves))
+    monkeypatch.setattr(harness, "choose_code", lambda *args: COMMANDS.index(next(moves)))
     asked = []
     real_ensure = WorldImage.ensure
 
@@ -309,6 +310,47 @@ def test_each_block_start_ensures_every_window_the_block_reads(monkeypatch):
         for x, y in ((xs[t], ys[t]), (xs[t + 1], ys[t + 1])):
             assert left <= x and x + 4 <= left + width
             assert top <= y and y + 4 <= top + height
+
+
+@pytest.mark.parametrize("camera, trace_hash", [
+    (8, "cebf2ab5645901aa70d87a55c86bcb9f74e83a050527c9a069e4fa78323c2137"),
+    (32, "11483ef0d8e56cb9ddccb0ebd8ab62ccc66d04302b5b88be58e7415e21dd6988"),
+])
+def test_babbling_run_fills_only_the_tiles_its_windows_touch(
+    monkeypatch, camera, trace_hash
+):
+    # A babbling run's block knows its positions, so it asks for their
+    # windows' bounding box, once per block, and no more of the scene.
+    from visuomotor import world
+
+    asked = []
+    real_ensure = WorldImage.ensure
+
+    def recording(image, top, left, height, width):
+        asked.append((top, left, height, width))
+        return real_ensure(image, top, left, height, width)
+
+    monkeypatch.setattr(WorldImage, "ensure", recording)
+    config = default_config(ControllerKind.RM, 1, camera=camera)
+    scene = load_world(config)
+    result = run_experiment(config, world=scene)
+    # Recorded before the blocks asked for less.
+    assert trace_sha256(result.trace) == trace_hash
+    assert len(asked) == 1 + math.ceil(config.steps / harness._BLOCK_STEPS)
+    start = initial_camera(scene, config)
+    xs = [start.left] + [r.cam_x for r in result.trace]
+    ys = [start.top] + [r.cam_y for r in result.trace]
+    blocks = asked[1:]  # the first call is the start window, before the loop
+    for t in range(config.steps):
+        top, left, height, width = blocks[t // harness._BLOCK_STEPS]
+        for x, y in ((xs[t], ys[t]), (xs[t + 1], ys[t + 1])):
+            assert left <= x and x + camera <= left + width
+            assert top <= y and y + camera <= top + height
+    touched = np.zeros_like(scene._tiles.filled)
+    for x, y in zip(xs, ys):
+        touched[y // world._TILE : (y + camera - 1) // world._TILE + 1,
+                x // world._TILE : (x + camera - 1) // world._TILE + 1] = True
+    assert np.array_equal(scene._tiles.filled, touched)
 
 
 def test_given_world_matches_loaded_world():
@@ -500,15 +542,15 @@ def test_babbling_path_in_a_mid_sized_scene_matches_reference():
         assert_same_run(run_experiment(config, world=scene), trace, state)
 
 
-def test_babbling_runs_never_call_choose_action(monkeypatch):
+def test_babbling_runs_never_call_choose_code(monkeypatch):
     calls = []
-    real = harness.choose_action
+    real = harness.choose_code
 
-    def spy(kind, history, cfg, rng):
+    def spy(kind, codes, errors, cfg, rng):
         calls.append(kind)
-        return real(kind, history, cfg, rng)
+        return real(kind, codes, errors, cfg, rng)
 
-    monkeypatch.setattr(harness, "choose_action", spy)
+    monkeypatch.setattr(harness, "choose_code", spy)
     assert run_experiment(tiny_config(steps=40)).valid
     assert calls == []
     kinds = [ControllerKind.RM, ControllerKind.MINPE]
@@ -779,19 +821,19 @@ def test_comparison_overrides_kind_and_seed():
 
 
 def test_comparison_isolates_cell_failures(monkeypatch):
-    real = harness.choose_action
+    real = harness.choose_code
     calls = {"n": 0}
 
-    def raising_choice(kind, history, cfg, rng):
+    def raising_choice(kind, codes, errors, cfg, rng):
         if kind == ControllerKind.MAXPE:
             calls["n"] += 1
             if calls["n"] == NOISE_BLOCK_STEPS + 3:  # inside the second block
                 raise RuntimeError("boom")
-        return real(kind, history, cfg, rng)
+        return real(kind, codes, errors, cfg, rng)
 
     base = tiny_config(steps=30)
     solo = run_experiment(dataclasses.replace(base, master_seed=1))
-    monkeypatch.setattr(harness, "choose_action", raising_choice)
+    monkeypatch.setattr(harness, "choose_code", raising_choice)
     comparison = run_comparison(
         base, [ControllerKind.RM, ControllerKind.MAXPE], [1]
     )
@@ -812,10 +854,10 @@ def test_comparison_isolates_cell_failures(monkeypatch):
 
 
 def test_run_experiment_raises_what_its_loop_raises(monkeypatch):
-    def raising_choice(kind, history, cfg, rng):
+    def raising_choice(kind, codes, errors, cfg, rng):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(harness, "choose_action", raising_choice)
+    monkeypatch.setattr(harness, "choose_code", raising_choice)
     with pytest.raises(RuntimeError, match="boom"):
         run_experiment(tiny_config(kind=ControllerKind.MINPE, steps=5))
 
@@ -960,7 +1002,7 @@ def test_comparison_requires_nonempty_grid():
 def test_comparison_rejects_fewer_than_one_worker(monkeypatch, workers):
     ran = []
     monkeypatch.setattr(harness, "load_world", ran.append)
-    monkeypatch.setattr(harness, "choose_action", ran.append)
+    monkeypatch.setattr(harness, "choose_code", ran.append)
     with pytest.raises(ValueError, match="worker"):
         run_comparison(tiny_config(steps=10), [ControllerKind.MINPE], [1], workers)
     assert ran == []
