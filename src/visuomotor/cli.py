@@ -10,6 +10,7 @@ import dataclasses
 import inspect
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from . import elm, world
 from .controllers import ControllerKind
 from .errors import ConfigError, VisuomotorError
 from .harness import (
+    SYNTHETIC_SOURCE,
     ComparisonResult,
     KindSummary,
     RunResult,
@@ -241,6 +243,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     base = _config_from_args(args, ControllerKind.RM, seeds[0])
+    # An unreadable scene fails every cell alike, so it fails up front, as
+    # in `run`; a malformed or too small one still fails per cell.
+    if base.image_source != SYNTHETIC_SOURCE:
+        open(base.image_source, "rb").close()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     comparison = run_comparison(base, ALL_KINDS, seeds, workers=args.workers)
@@ -282,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except VisuomotorError as exc:
         print(f"visuomotor: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except BrokenExecutor:  # a pool worker killed, say by the OOM killer
+        print("visuomotor: a worker process died", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -13,11 +13,10 @@ and random babbling (RM), which never reads the errors, is planned at
 its start and senses a noise block's rows at a time. Every run then
 learns alike from its row, one step at a time, and logs its path,
 command codes and errors in arrays of one layout. That log is the run's
-only record: a reactive run's controller chooses from it. A run reads
-only the part of a synthetic scene it can reach: at each noise block's
-start an RM run asks the scene to fill its block's windows, and a
-reactive run its camera window grown by the block's ``_BLOCK_STEPS``
-steps on each side, since a step moves the camera at most one pixel.
+only record: a reactive run's controller chooses from it. A synthetic
+scene is filled only where it is read, and each window is ensured
+before it is read: an RM run asks for its block's windows at the
+block's start, and a reactive run for its next window at each step.
 """
 
 from __future__ import annotations
@@ -397,13 +396,12 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
       clamps it; the check that the window fits the image is made once,
       up front.
     - Every window is read from the scene's pixel buffer, which a
-      synthetic scene fills only where ``WorldImage.ensure`` asks. At each
-      noise block's start every live run makes one ``ensure``. An RM run
-      knows its block's positions, and asks for the bounding box of their
-      windows. A reactive run asks for the rectangle its next
-      ``_BLOCK_STEPS`` steps can reach: a step moves the camera at most
-      one pixel, so that is the window at the run's corner grown by
-      ``_BLOCK_STEPS`` on each side, clipped to the scene.
+      synthetic scene fills only where ``WorldImage.ensure`` asks, and
+      each window is ensured before it is read. An RM run knows its
+      block's positions, and asks for the bounding box of their windows
+      at the block's start. A reactive run asks for its new window after
+      each move; the window it starts a step at is the previous step's
+      new window, or the start window, which the group ensures first.
     - A babbling (RM) run draws its command codes at the start, as
       ``steps`` ``choose_random`` calls would (``random_commands``), and
       clamps its whole path once, as the steps would (``_clamped_walk``).
@@ -455,7 +453,7 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
     residual = np.empty(n)
     sigma = config.noise.sigma
     noise = np.zeros((NOISE_BLOCK_FRAMES, h, w))
-    # Read-only, and filled only where a block start has ensured it.
+    # Read-only, and filled only where a run has ensured it.
     windows = sliding_window_view(world.ensure(cam.top, cam.left, h, w), (h, w))
     live = cells
     with saturating():
@@ -474,9 +472,6 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
                         j = k // 2
                     else:
                         left, top = cell.lefts.item(t), cell.tops.item(t)
-                        if k == 0:  # the scene this block's steps can reach
-                            world.ensure(top - _BLOCK_STEPS, left - _BLOCK_STEPS,
-                                         h + 2 * _BLOCK_STEPS, w + 2 * _BLOCK_STEPS)
                         frames = cell.frames
                         _sense(windows[top, left], noise[k], frames[0])
                         code = choose_code(cell.controller.kind, cell.codes[:t],
@@ -487,6 +482,7 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
                         left = min(max(left + vx, 0), max_left)
                         top = min(max(top + vy, 0), max_top)
                         cell.codes[t], cell.lefts[t + 1], cell.tops[t + 1] = code, left, top
+                        world.ensure(top, left, h, w)
                         _sense(windows[top, left], noise[k + 1], frames[1])
                         j = 0
                         hidden_into(cell.state, x, cell.hiddens[0])

@@ -539,6 +539,11 @@ class _Tiles:
     Rounding is monotonic, so a raw value x between ``low`` and the
     greatest has x - low <= span once rounded, and a tile needs no range
     check: every pixel lies in [0, 1].
+    Each window is ensured before it is read: an RM run asks for its
+    block's windows at the block's start, and a reactive run for its next
+    window at each step, so the runs of a lockstep group interleave their
+    checks. ``done`` holds the tile ranges found all filled; tiles are
+    never unfilled, so a range asked for again is checked by one lookup.
     A check that finds every tile of a rectangle filled takes no lock;
     the filling is done under ``lock``, so two threads reading one scene
     never fill a tile twice.
@@ -551,7 +556,7 @@ class _Tiles:
         self.pixels = self.buffer.view()
         self.pixels.setflags(write=False)
         self.filled = np.zeros((-(-height // _TILE), -(-width // _TILE)), dtype=bool)
-        self.last = None  # tile rows and columns last found filled
+        self.done = set()  # (r0, r1, c0, c1) tile ranges found all filled
         self.lock = threading.Lock()
 
     def fill(self, top: int, left: int, height: int, width: int) -> None:
@@ -563,10 +568,9 @@ class _Tiles:
             return
         r0, r1 = top // _TILE, -(-bottom // _TILE)
         c0, c1 = left // _TILE, -(-right // _TILE)
-        # Tiles are never unfilled, so the tiles last found filled stay so;
-        # a camera that stays on them is checked by one comparison.
-        if (r0, r1, c0, c1) == self.last or self.filled[r0:r1, c0:c1].all():
-            self.last = (r0, r1, c0, c1)
+        key = (r0, r1, c0, c1)
+        if key in self.done or self.filled[r0:r1, c0:c1].all():
+            self.done.add(key)
             return
         with self.lock:
             # One fill per rectangle of unfilled tiles: from the first one

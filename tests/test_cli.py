@@ -412,6 +412,38 @@ def test_compare_scene_smaller_than_camera_names_each_failure(tmp_path, capsys):
     assert rank_rows.splitlines()[1:] == ["1,,,,", "2,,,,"]
 
 
+def test_compare_unreadable_image_is_io_error_before_any_output(tmp_path, capfd):
+    missing = tmp_path / "missing.pgm"
+    out = tmp_path / "out"
+    code = main(tiny_args("compare", out, ["--seeds", "1,2", "--image", str(missing)]))
+    assert code == cli.EXIT_IO
+    assert str(missing) in capfd.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_worker_that_dies_is_runtime_error(tmp_path, capfd, monkeypatch):
+    import multiprocessing
+    import os
+
+    from visuomotor import harness
+
+    real_run_lockstep = harness._run_lockstep
+
+    def dying(config, controllers, world=None):
+        if config.master_seed == 2:
+            os._exit(9)  # as a worker the OOM killer ends
+        return real_run_lockstep(config, controllers, world)
+
+    monkeypatch.setattr(harness, "_run_lockstep", dying)
+    code = main(tiny_args("compare", tmp_path / "out",
+                          ["--seeds", "1,2", "--workers", "2"]))
+    assert code == EXIT_RUNTIME
+    err = capfd.readouterr().err
+    assert "a worker process died" in err
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------------------
 # Package surface
 

@@ -284,9 +284,9 @@ def test_cli_run_does_not_fill_the_whole_scene(filled_area, tmp_path):
     assert 0 < sum(filled_area) < 512 * 512 / 4
 
 
-def test_each_block_start_ensures_every_window_the_block_reads(monkeypatch):
-    # Two blocks of each move in turn: each block's steps reach the edge of
-    # what its start ensured, on each side.
+def test_each_reactive_step_ensures_its_new_window(monkeypatch):
+    # Two blocks of each move in turn: out 32 pixels right, then down, and
+    # back.
     moves = iter([MotorCommand.RIGHT] * 32 + [MotorCommand.DOWN] * 32
                  + [MotorCommand.LEFT] * 32 + [MotorCommand.UP] * 32)
     monkeypatch.setattr(harness, "choose_code", lambda *args: COMMANDS.index(next(moves)))
@@ -303,13 +303,23 @@ def test_each_block_start_ensures_every_window_the_block_reads(monkeypatch):
     xs = [254] + [r.cam_x for r in result.trace]  # from the centre of 512
     ys = [254] + [r.cam_y for r in result.trace]
     assert max(xs) == max(ys) == 254 + 32 and (xs[-1], ys[-1]) == (254, 254)
-    blocks = asked[1:]  # the first call is the start window, before the loop
-    assert len(blocks) == 128 // harness._BLOCK_STEPS
-    for t in range(128):
-        top, left, height, width = blocks[t // harness._BLOCK_STEPS]
-        for x, y in ((xs[t], ys[t]), (xs[t + 1], ys[t + 1])):
-            assert left <= x and x + 4 <= left + width
-            assert top <= y and y + 4 <= top + height
+    # The start window, before the loop, then one call per step: exactly
+    # the window the step moved to.
+    assert asked == [(y, x, 4, 4) for x, y in zip(xs, ys)]
+
+
+def touched_tiles(scene, start, trace, camera):
+    """The tiles of a synthetic ``scene`` that the windows at ``start`` and
+    along ``trace`` touch."""
+    from visuomotor import world
+
+    touched = np.zeros_like(scene._tiles.filled)
+    xs = [start.left] + [r.cam_x for r in trace]
+    ys = [start.top] + [r.cam_y for r in trace]
+    for x, y in zip(xs, ys):
+        touched[y // world._TILE : (y + camera - 1) // world._TILE + 1,
+                x // world._TILE : (x + camera - 1) // world._TILE + 1] = True
+    return touched
 
 
 @pytest.mark.parametrize("camera, trace_hash", [
@@ -321,8 +331,6 @@ def test_babbling_run_fills_only_the_tiles_its_windows_touch(
 ):
     # A babbling run's block knows its positions, so it asks for their
     # windows' bounding box, once per block, and no more of the scene.
-    from visuomotor import world
-
     asked = []
     real_ensure = WorldImage.ensure
 
@@ -346,10 +354,46 @@ def test_babbling_run_fills_only_the_tiles_its_windows_touch(
         for x, y in ((xs[t], ys[t]), (xs[t + 1], ys[t + 1])):
             assert left <= x and x + camera <= left + width
             assert top <= y and y + camera <= top + height
+    touched = touched_tiles(scene, start, result.trace, camera)
+    assert np.array_equal(scene._tiles.filled, touched)
+
+
+# Recorded while a reactive run still asked, at each noise block's start,
+# for all the scene the block's steps could reach.
+@pytest.mark.parametrize("kind, camera, trace_hash", [
+    ("minpe", 8, "6d8250b4a3a7b1df3e5bebcb5bd3950046dc44a18b77a0446d87689c26f9fdff"),
+    ("maxpe", 8, "2e24fe8645e6d3d474a5daca4a9f4d5180c672a6b67e304abf846493bd69e44e"),
+    ("maxlp", 8, "668fff494b740bb852871233b88423503aea3284a8b6c97da38103cf8d1eb3fb"),
+    ("minpe", 32, "a216eb7c19c2559c8c1af5fb59a1895d902c0c1769a6801c47ec7239fcf26862"),
+    ("maxpe", 32, "d5f5b3291119756c81480b1c05bd96434bb9e8c2cbcdebcbc1bd7c74f5cb8ac5"),
+    ("maxlp", 32, "eeb1436d1d1a1c10191551d9e57bcc9ebe0c5021e14e1d039a565da582261fcf"),
+])
+def test_reactive_run_fills_only_the_tiles_its_windows_touch(kind, camera, trace_hash):
+    config = default_config(ControllerKind(kind), 1, camera=camera)
+    scene = load_world(config)
+    result = run_experiment(config, world=scene)
+    assert trace_sha256(result.trace) == trace_hash
+    touched = touched_tiles(scene, initial_camera(scene, config), result.trace, camera)
+    assert np.array_equal(scene._tiles.filled, touched)
+
+
+def test_lockstep_group_fills_only_the_tiles_its_runs_touch(monkeypatch):
+    # The four runs of a seed share one scene and interleave their asks.
+    scenes = []
+
+    def loading(config):
+        scenes.append(load_world(config))
+        return scenes[-1]
+
+    monkeypatch.setattr(harness, "load_world", loading)
+    config = default_config(ControllerKind.RM, 1, camera=32)
+    comparison = run_comparison(config, list(ControllerKind), [1])
+    [scene] = scenes
+    start = initial_camera(scene, config)
     touched = np.zeros_like(scene._tiles.filled)
-    for x, y in zip(xs, ys):
-        touched[y // world._TILE : (y + camera - 1) // world._TILE + 1,
-                x // world._TILE : (x + camera - 1) // world._TILE + 1] = True
+    for result in comparison.results.values():
+        assert result.valid
+        touched |= touched_tiles(scene, start, result.trace, 32)
     assert np.array_equal(scene._tiles.filled, touched)
 
 
