@@ -268,96 +268,52 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return value, pos
 
 
-# The P2 raster is parsed in blocks of about this many bytes, each ending on
-# a separator, so that the per-byte temporaries stay small and cache-resident.
-_RASTER_BLOCK = 1 << 16
-_IS_WHITESPACE = np.zeros(256, dtype=bool)
-_IS_WHITESPACE[list(_WHITESPACE)] = True
-_SEPARATOR = re.compile(rb"[ \t\n\r\x0b\x0c#]")
-_SIGNIFICANT_DIGITS = 5  # maxval <= 65535 has at most five
+_RASTER_BYTES = b"0123456789 \t\n\r\x0b\x0c"
+_COMMENT_TEXT = re.compile(rb"#[^\n]*")
 
 
-def _p2_raster(
-    data: bytes, pos: int, count: int, maxval: int, out: np.ndarray | None
-) -> int:
-    """Parse up to ``count`` P2 samples starting at ``data[pos]``.
+def _p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """The ``count`` P2 samples that start at ``data[pos]``, as floats.
 
-    Writes them to ``out`` unless it is None and returns how many were
-    found. Raises ParseError at the first sample, in file order, that is
-    not a digit run or exceeds ``maxval``; bytes after the ``count``-th
-    sample are not looked at.
+    Bytes after the ``count``-th sample are not checked; any other fault
+    is raised by ``_check_raster``.
     """
-    n = len(data)
-    found = 0
-    start = pos
-    while start < n and found < count:
-        separator = _SEPARATOR.search(data, start + _RASTER_BLOCK)
-        end = n if separator is None else separator.start()
-        # A comment runs from '#' to the end of its line; a block that
-        # ends inside one grows to hold it.
-        comments = []
-        hash_at = data.find(b"#", start, end)
-        while hash_at >= 0:
-            newline = data.find(b"\n", hash_at)
-            stop = n if newline < 0 else newline
-            comments.append((hash_at - start, stop - start))
-            end = max(end, stop)
-            hash_at = data.find(b"#", stop, end)
-        block = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
-        if comments:
-            block = block.copy()
-            for first, stop in comments:
-                block[first:stop] = ord(" ")
+    raster = data[pos:]
+    if b"#" in raster:
+        raster = _COMMENT_TEXT.sub(b" ", raster)
+    bad = raster.translate(None, _RASTER_BYTES)
+    if bad:
+        # Scan only the samples before the token that holds the first bad byte.
+        raster = raster[: raster.find(bad[:1])].rstrip(b"0123456789")
+    if raster.isspace():
+        raster = b""  # fromstring reads whitespace alone as one 0
+    samples = np.fromstring(raster, dtype=np.int64, sep=" ")[:count]
+    # A digit run beyond int64 saturates, so it too exceeds maxval.
+    if samples.size < count or samples.max() > maxval:
+        _check_raster(data, pos, count, maxval)
+    # numpy casts a 1-D array into a view of its own memory element by
+    # element, so the floats take the integers' place and no copy is made.
+    floats = samples.view(np.float64)
+    floats[...] = samples
+    return floats
 
-        whitespace = _IS_WHITESPACE[block]
-        digit = block - ord("0")  # uint8: non-digits wrap to 10 or more
-        # Tokens are maximal runs of non-whitespace: [starts[i], ends[i]).
-        edges = np.flatnonzero(np.diff(~whitespace, prepend=False, append=False))
-        starts, ends = edges[0::2], edges[1::2]
-        if starts.size > count - found:
-            starts, ends = starts[: count - found], ends[: count - found]
-        if starts.size == 0:
-            start = end
-            continue
-        valid = ((digit < 10) | whitespace)[: ends[-1]]
-        bad_token = starts.size
-        if not valid.all():
-            first_bad = np.argmin(valid)
-            bad_token = int(np.searchsorted(starts, first_bad, side="right")) - 1
 
-        # Value of each token from its last five digits; a nonzero digit
-        # before those makes it too large for any maxval. Indices that fall
-        # before a short token's start are masked, and stay inside the
-        # block, which is longer than its longest token.
-        lengths = ends - starts
-        values = digit[ends - 1].astype(float)
-        for place in range(1, min(_SIGNIFICANT_DIGITS, int(lengths.max()))):
-            values += np.where(lengths > place, digit[ends - 1 - place], 0) * 10.0**place
-        long_tokens = np.flatnonzero(lengths > _SIGNIFICANT_DIGITS)
-        if long_tokens.size:
-            heads = np.empty(2 * long_tokens.size, dtype=np.intp)
-            heads[0::2] = starts[long_tokens]
-            heads[1::2] = ends[long_tokens] - _SIGNIFICANT_DIGITS
-            nonzero = (digit != 0) & (digit < 10)
-            values[long_tokens[np.logical_or.reduceat(nonzero, heads)[0::2]]] = np.inf
-
-        over = np.flatnonzero(values[:bad_token] > maxval)
-        if over.size:
-            offset = start + int(starts[over[0]])
-            token = _next_token(data, offset)[0]
+def _check_raster(data: bytes, pos: int, count: int, maxval: int) -> None:
+    """Raise ParseError at the first fault, in file order, of a P2 raster."""
+    for _ in range(count):
+        try:
+            token, start, pos = _next_token(data, pos)
+        except ParseError:  # the input ended
+            break
+        if not token.isdigit():
+            raise ParseError(f"invalid sample {token!r}", offset=start)
+        digits = token.lstrip(b"0")
+        # maxval has at most five digits, and int() refuses very long runs.
+        if len(digits) > 5 or int(digits or b"0") > maxval:
             raise ParseError(
-                f"sample value {token.lstrip(b'0').decode()} exceeds maxval",
-                offset=offset,
+                f"sample value {digits.decode()} exceeds maxval", offset=start
             )
-        if bad_token < starts.size:
-            offset = start + int(starts[bad_token])
-            token = _next_token(data, offset)[0]
-            raise ParseError(f"invalid sample {token!r}", offset=offset)
-        if out is not None:
-            out[found : found + starts.size] = values
-        found += starts.size
-        start = end
-    return found
+    raise ParseError("truncated pixel payload", offset=len(data))
 
 
 def load_image(data: bytes) -> WorldImage:
@@ -406,12 +362,7 @@ def load_image(data: bytes) -> WorldImage:
                 "sample value exceeds maxval", offset=pos + first * sample_bytes
             )
     else:
-        # Every sample but the last needs a separator after it. A raster
-        # too short for count samples is still checked for a bad sample
-        # before its truncation is reported, but nothing is stored.
-        values = np.empty(count) if len(data) - pos >= 2 * count - 1 else None
-        if _p2_raster(data, pos, count, maxval, values) < count:
-            raise ParseError("truncated pixel payload", offset=len(data))
+        values = _p2_raster(data, pos, count, maxval)
     values /= maxval
     return WorldImage._adopt(values.reshape(height, width))
 

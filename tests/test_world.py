@@ -67,8 +67,13 @@ def test_truncated_p5_payload():
 
 
 def test_truncated_p2_payload():
-    with pytest.raises(ParseError):
-        load_image(b"P2\n2 2\n255\n0 255 255")
+    # A raster of whitespace or comments alone holds no sample.
+    for data in [b"P2\n2 2\n255\n0 255 255", b"P2\n1 1\n255\n \n",
+                 b"P2\n1 1\n255\n#c\n"]:
+        with pytest.raises(ParseError) as info:
+            load_image(data)
+        assert "truncated" in str(info.value)
+        assert info.value.offset == len(data)
 
 
 def test_bad_magic():
@@ -112,7 +117,7 @@ def test_p2_round_trip_identity():
 
 
 def reference_load_p2(data):
-    """The per-token loop that the block-vectorised P2 parser replaced.
+    """The per-token loop that the one-scan P2 parser replaced.
 
     Kept as the reference for the parser's behaviour, with one change: a
     sample above maxval is reported at its first byte, not the byte after.
@@ -185,14 +190,12 @@ def p2_files(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=p2_files(), block=st.sampled_from([1, 2, 3, 5, 8, 1 << 16]))
-def test_p2_parser_matches_reference_loop(data, block):
-    # Tiny blocks put block boundaries inside tokens, runs and comments.
-    with mock.patch.object(world, "_RASTER_BLOCK", block):
-        assert_parsers_agree(data)
+@given(data=p2_files())
+def test_p2_parser_matches_reference_loop(data):
+    assert_parsers_agree(data)
 
 
-def test_p2_parser_matches_reference_across_blocks():
+def test_p2_parser_matches_reference_on_a_long_commented_raster():
     rng = np.random.default_rng(11)
     samples = rng.integers(0, 256, (150, 200))
     rows = []
@@ -200,9 +203,6 @@ def test_p2_parser_matches_reference_across_blocks():
         line = " \t ".join(f"{v:03d}" if i % 3 else str(v) for v in row).encode()
         rows.append(line + (b" # 7" * 20_000 + b"\n" if i == 40 else b"\r\n"))
     data = b"P2\n200 150\n255\n" + b"".join(rows)
-    comment = data.index(b"#")
-    assert comment < world._RASTER_BLOCK < comment + 80_000  # spans a boundary
-    assert len(data) > 3 * world._RASTER_BLOCK
     assert_parsers_agree(data)
     assert np.array_equal(load_image(data).pixels, samples / 255)
 
@@ -251,11 +251,29 @@ def test_p2_bad_sample_in_short_raster_is_named():
 
 
 def test_p2_oversized_sample_with_leading_zeros():
-    data = b"P2\n2 1\n65535\n" + b"0" * 20 + b"65535 00000000065536\n"
-    with pytest.raises(ParseError) as info:
-        load_image(data)
-    assert info.value.offset == data.index(b"00000000065536")
-    assert "65536" in str(info.value)
+    # A digit run too long for int64 is named too, not read as its bound.
+    for sample in [b"00000000065536", b"9" * 30]:
+        data = b"P2\n2 1\n65535\n" + b"0" * 20 + b"65535 " + sample + b"\n"
+        with pytest.raises(ParseError) as info:
+            load_image(data)
+        assert info.value.offset == data.index(sample)
+        assert sample.lstrip(b"0").decode() in str(info.value)
+
+
+def test_valid_p2_files_are_not_walked_token_by_token():
+    scene = to_pgm_p2(synthetic_image(512, 512, seed=0))
+    pixels = load_image(scene).pixels
+    row_end = scene.index(b"\n", len(scene) // 2)
+    commented = scene[:row_end] + b" # a comment line" + scene[row_end:]
+    bad_last = scene[:-2] + b"x\n"
+    with mock.patch.object(world, "_check_raster", wraps=world._check_raster) as check:
+        for data in [scene, commented, scene + b"junk 7\n"]:
+            assert np.array_equal(load_image(data).pixels, pixels)
+        check.assert_not_called()
+        with pytest.raises(ParseError) as info:
+            load_image(bad_last)
+        check.assert_called_once()
+    assert info.value.offset == bad_last.rindex(b" ") + 1
 
 
 def test_quantize_round_half_up():
