@@ -289,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except VisuomotorError as exc:
         print(f"visuomotor: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy refuses a run too long to allocate
+        print(f"visuomotor: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except BrokenExecutor:  # a pool worker killed, say by the OOM killer
         print("visuomotor: a worker process died", file=sys.stderr)
         return EXIT_RUNTIME

@@ -77,14 +77,11 @@ class WorldImage:
     """Immutable grayscale image with intensities in [0, 1].
 
     ``pixels`` is the whole image, read-only. A scene from
-    ``synthetic_image`` starts unfilled and is filled a tile of
-    ``_TILE`` x ``_TILE`` pixels at a time: ``ensure`` fills the tiles a
-    rectangle touches, and ``pixels`` fills every tile first. A pixel has
-    the same bits whenever, and through whichever call, its tile is
-    filled. Every other image is complete from the start.
+    ``synthetic_image`` fills itself as it is read (``_TiledScene``);
+    every other image is complete from the start.
     """
 
-    __slots__ = ("_pixels", "_tiles")
+    __slots__ = ("_pixels",)
 
     def __init__(self, pixels: np.ndarray):
         # A private copy, so that later writes to the caller's array
@@ -99,14 +96,6 @@ class WorldImage:
         image._own(pixels)
         return image
 
-    @classmethod
-    def _tiled(cls, tiles: _Tiles) -> WorldImage:
-        """Wrap a synthetic scene that fills itself as it is read."""
-        image = object.__new__(cls)
-        image._pixels = tiles.pixels
-        image._tiles = tiles
-        return image
-
     def _own(self, pixels: np.ndarray) -> None:
         if pixels.ndim != 2 or pixels.size == 0:
             raise ConfigError("image must be a non-empty 2-D array")
@@ -119,7 +108,6 @@ class WorldImage:
             raise ConfigError("image intensities must lie in [0, 1]")
         pixels.setflags(write=False)
         self._pixels = pixels
-        self._tiles = None
 
     @property
     def pixels(self) -> np.ndarray:
@@ -130,8 +118,6 @@ class WorldImage:
         rectangle at (``left``, ``top``), clipped to the image, and return
         the read-only pixel buffer. The buffer is the same array on every
         call; only the rectangles ensured so far are sure to be filled."""
-        if self._tiles is not None:
-            self._tiles.fill(top, left, height, width)
         return self._pixels
 
     @property
@@ -481,71 +467,61 @@ def _extremes(waves: _Waves, height: int, width: int) -> tuple[float, float]:
     return exact.min(), exact.max()
 
 
-class _Tiles:
-    """A synthetic scene's pixel buffer, filled a tile at a time.
+class _TiledScene(WorldImage):
+    """A synthetic scene that fills itself a tile of ``_TILE`` x ``_TILE``
+    pixels at a time.
 
-    ``filled`` marks the tiles done. A tile's pixels are its part of
+    The fill rule: ``ensure`` fills every unfilled tile its rectangle,
+    clipped to the scene, touches, and nothing else, so a read must
+    ensure its window before it reads it. A tile's pixels are its part of
     ``_raw_field`` then ``-= low`` and ``/= span``: elementwise
-    operations, so each pixel has the bits of a whole-scene computation.
-    Rounding is monotonic, so a raw value x between ``low`` and the
-    greatest has x - low <= span once rounded, and a tile needs no range
-    check: every pixel lies in [0, 1].
-    Each window is ensured before it is read: an RM run asks for its
-    block's windows at the block's start, and a reactive run for its next
-    window at each step, so the runs of a lockstep group interleave their
-    checks. ``done`` holds the tile ranges found all filled; tiles are
-    never unfilled, so a range asked for again is checked by one lookup.
-    A check that finds every tile of a rectangle filled takes no lock;
-    the filling is done under ``lock``, so two threads reading one scene
-    never fill a tile twice.
+    operations, so each pixel has the bits of a whole-scene computation,
+    whenever and through whichever call its tile is filled. Rounding is
+    monotonic, so a raw value x between ``low`` and the greatest has
+    x - low <= span once rounded, and a tile needs no range check: every
+    pixel lies in [0, 1].
+
+    ``_filled`` marks the tiles done, and ``_done`` holds the tile ranges
+    found all filled; tiles are never unfilled, so a range asked for
+    again is checked by one lookup and takes no lock. The flags of a new
+    range are read and set under ``_lock``, so two threads reading one
+    scene never fill a tile twice.
     """
+
+    __slots__ = ("_waves", "_low", "_span", "_buffer", "_filled", "_done", "_lock")
 
     def __init__(self, waves: _Waves, low: float, span: float,
                  height: int, width: int):
-        self.waves, self.low, self.span = waves, low, span
-        self.buffer = np.empty((height, width))
-        self.pixels = self.buffer.view()
-        self.pixels.setflags(write=False)
-        self.filled = np.zeros((-(-height // _TILE), -(-width // _TILE)), dtype=bool)
-        self.done = set()  # (r0, r1, c0, c1) tile ranges found all filled
-        self.lock = threading.Lock()
+        self._waves, self._low, self._span = waves, low, span
+        self._buffer = np.empty((height, width))
+        self._pixels = self._buffer.view()
+        self._pixels.setflags(write=False)
+        self._filled = np.zeros((-(-height // _TILE), -(-width // _TILE)), dtype=bool)
+        self._done = set()  # (r0, r1, c0, c1) tile ranges found all filled
+        self._lock = threading.Lock()
 
-    def fill(self, top: int, left: int, height: int, width: int) -> None:
-        """Fill every tile the rectangle, clipped to the scene, touches."""
-        rows, cols = self.buffer.shape
+    def ensure(self, top: int, left: int, height: int, width: int) -> np.ndarray:
+        rows, cols = self._buffer.shape
         bottom, right = min(top + height, rows), min(left + width, cols)
         top, left = max(top, 0), max(left, 0)
         if top >= bottom or left >= right:
-            return
+            return self._pixels
         r0, r1 = top // _TILE, -(-bottom // _TILE)
         c0, c1 = left // _TILE, -(-right // _TILE)
         key = (r0, r1, c0, c1)
-        if key in self.done or self.filled[r0:r1, c0:c1].all():
-            self.done.add(key)
-            return
-        with self.lock:
-            # One fill per rectangle of unfilled tiles: from the first one
-            # left, its run to the right, then the rows below unfilled
-            # across that run.
-            todo = ~self.filled[r0:r1, c0:c1]
-            count_i, count_j = todo.shape
-            while todo.any():
-                i, j = divmod(int(todo.argmax()), count_j)
-                b = j + 1
-                while b < count_j and todo[i, b]:
-                    b += 1
-                e = i + 1
-                while e < count_i and todo[e, j:b].all():
-                    e += 1
-                todo[i:e, j:b] = False
-                y0, y1 = (r0 + i) * _TILE, min((r0 + e) * _TILE, rows)
-                x0, x1 = (c0 + j) * _TILE, min((c0 + b) * _TILE, cols)
-                values = _raw_field(self.waves, np.arange(y0, y1)[:, None],
-                                    np.arange(x0, x1)[None, :])
-                values -= self.low
-                values /= self.span
-                self.buffer[y0:y1, x0:x1] = values
-                self.filled[r0 + i : r0 + e, c0 + j : c0 + b] = True
+        if key not in self._done:
+            with self._lock:
+                for i, j in np.argwhere(~self._filled[r0:r1, c0:c1]) + (r0, c0):
+                    y0, y1 = i * _TILE, min((i + 1) * _TILE, rows)
+                    x0, x1 = j * _TILE, min((j + 1) * _TILE, cols)
+                    values = _raw_field(self._waves, np.arange(y0, y1)[:, None],
+                                        np.arange(x0, x1)[None, :])
+                    values -= self._low
+                    values /= self._span
+                    self._buffer[y0:y1, x0:x1] = values
+                    self._filled[i, j] = True
+            self._done.add(key)
+        return self._pixels
 
 
 def synthetic_image(
@@ -562,7 +538,7 @@ def synthetic_image(
     The scene is the sum of the components normalised to [0, 1] by its
     least and greatest value. Those two come from ``_extremes``, which
     needs the sum at only a few pixels; every other pixel is computed
-    when a read first needs its tile (``WorldImage.ensure``). Each pixel
+    when a read first needs its tile (``_TiledScene``). Each pixel
     is the same bits as in a sum over the whole scene followed by
     ``-= low`` and ``/= high - low``: see the module docstring. A scene
     whose components sum to a constant is 0.5 everywhere.
@@ -573,4 +549,4 @@ def synthetic_image(
     low, high = _extremes(waves, height, width)
     if not high > low:
         return WorldImage._adopt(np.full((height, width), 0.5))
-    return WorldImage._tiled(_Tiles(waves, low, high - low, height, width))
+    return _TiledScene(waves, low, high - low, height, width)

@@ -8,14 +8,20 @@ without importing or running it. For every name a script imports from
 the package still defines it.
 
 It sees only names reached through an import: not an instance attribute
-such as ``result.trace``, nor a keyword such as ``replace(config,
-seed=...)``. ``benchmarks/selftest.py`` still covers those. The one
-exception is the parsed arguments: every ``args.attr`` read on a result of
-``cli.parse_args`` must be an attribute the parser sets.
+such as ``result.trace``. ``benchmarks/selftest.py`` still covers those.
+The one exception is the parsed arguments: every ``args.attr`` read on a
+result of ``cli.parse_args`` must be an attribute the parser sets.
+
+Each keyword passed to a package function or class so reached, such as
+``harness.default_config(..., camera=...)``, must be a parameter of its
+signature. A keyword passed to anything else stays unchecked, among them
+those passed to ``dataclasses.replace``, such as ``replace(config,
+seed=...)``.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 from types import ModuleType
 
@@ -86,6 +92,45 @@ def _missing_names(tree: ast.Module) -> tuple[list[str], int]:
     return missing, checked
 
 
+def _resolve(node: ast.expr, bound: dict):
+    """The package object that a name, or a chain of attributes on one,
+    stands for, or None."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, bound)
+        if owner is not None:
+            try:
+                return _member(owner, node.attr)
+            except AttributeError:
+                pass
+    return None
+
+
+def _bad_keywords(tree: ast.Module) -> tuple[list[str], int]:
+    """The keywords ``tree`` passes to a package callable that are not
+    parameters of it, and how many keywords it checked."""
+    bound = _imports(tree)[0]
+    bad = []
+    checked = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.keywords:
+            continue
+        target = _resolve(node.func, bound)
+        if not callable(target) or not _in_package(getattr(target, "__module__", "")):
+            continue
+        parameters = inspect.signature(target).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+            continue
+        for keyword in node.keywords:
+            if keyword.arg is not None:  # not a ``**mapping``
+                checked += 1
+                if keyword.arg not in parameters:
+                    bad.append(f"{ast.unparse(node.func)}({keyword.arg}=...) "
+                               f"(line {node.lineno})")
+    return bad, checked
+
+
 def _parsed_attributes(tree: ast.Module) -> set[str]:
     """Every ``X.attr`` read in a function of ``tree`` that assigns
     ``X = cli.parse_args(...)``, with ``cli`` imported from the package."""
@@ -140,3 +185,14 @@ def test_names_the_benchmark_uses_exist():
         checked += count
     assert checked > 0
     assert not missing, "names the benchmark uses are gone:\n" + "\n".join(missing)
+
+
+def test_keywords_the_benchmark_passes_exist():
+    bad = []
+    checked = 0
+    for script in sorted(BENCHMARKS.glob("*.py")):
+        keywords, count = _bad_keywords(ast.parse(script.read_text(), str(script)))
+        bad += [f"{script.name}: {keyword}" for keyword in keywords]
+        checked += count
+    assert checked > 0
+    assert not bad, "keywords the benchmark passes are gone:\n" + "\n".join(bad)

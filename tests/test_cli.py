@@ -444,6 +444,14 @@ def test_compare_worker_that_dies_is_runtime_error(tmp_path, capfd, monkeypatch)
     assert multiprocessing.active_children() == []
 
 
+def test_run_too_long_to_allocate_fails_like_compare(tmp_path, capsys):
+    # numpy refuses the first 7 PiB request outright, so nothing is allocated.
+    argv = ["run", "--steps", "1000000000000000", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("visuomotor: out of memory: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Package surface
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from visuomotor import controllers
@@ -256,9 +256,10 @@ def exact_maxlp_commands(history, cfg, rng):
 
     The most recent record at the exact maximum is always accepted. So is
     any other record within float rounding of it (2**-40 of the largest
-    error), unless it ties the maximum exactly with both windows full:
-    there progress is one rounded difference divided by em_window, so the
-    tie stays a tie in floats and goes to the most recent record."""
+    error, plus 2**-1072), unless it ties the maximum exactly with both
+    windows full: there progress is one rounded difference divided by
+    em_window, so the tie stays a tie in floats and goes to the most
+    recent record."""
     if rng.random() < cfg.epsilon:
         return {choose_random(rng)}
     records = list(history)
@@ -272,7 +273,11 @@ def exact_maxlp_commands(history, cfg, rng):
     if not scored:
         return {choose_random(rng)}
     top = max(progress for progress, _, _ in scored)
-    tolerance = Fraction(2) ** -40 * max(Fraction(r.error) for r in history)
+    # The absolute term covers roundings among subnormals, where a relative
+    # bound is too tight: with a subnormal error, (0 - 5e-324) / 2 rounds
+    # to -0, which ties 0 in floats though it lies below it exactly.
+    tolerance = (Fraction(2) ** -40 * max(Fraction(r.error) for r in history)
+                 + Fraction(2) ** -1072)
     latest_top = [command for progress, _, command in scored if progress == top][-1]
     return {latest_top} | {
         command for progress, full, command in scored
@@ -290,6 +295,9 @@ def exact_maxlp_commands(history, cfg, rng):
     epsilon=st.sampled_from([0.0, 0.3, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
+# A subnormal error: the last step's progress rounds to [0.0, -0.0].
+@example(start=0, steps=[(0, 0.0), (0, 0.0), (1, 5e-324), (0, 0.0)], capacity=3,
+         window=2, em_window=2, epsilon=0.0, seed=0)
 def test_maxlp_matches_exact_progress(
     start, steps, capacity, window, em_window, epsilon, seed
 ):

@@ -41,6 +41,7 @@ from visuomotor.world import (
     MotorCommand,
     NoiseModel,
     WorldImage,
+    _TiledScene,
     apply_motor,
     command_to_velocity,
     observe,
@@ -291,13 +292,13 @@ def test_each_reactive_step_ensures_its_new_window(monkeypatch):
                  + [MotorCommand.LEFT] * 32 + [MotorCommand.UP] * 32)
     monkeypatch.setattr(harness, "choose_code", lambda *args: COMMANDS.index(next(moves)))
     asked = []
-    real_ensure = WorldImage.ensure
+    real_ensure = _TiledScene.ensure
 
     def recording(image, top, left, height, width):
         asked.append((top, left, height, width))
         return real_ensure(image, top, left, height, width)
 
-    monkeypatch.setattr(WorldImage, "ensure", recording)
+    monkeypatch.setattr(_TiledScene, "ensure", recording)
     config = tiny_config(kind=ControllerKind.MINPE, steps=128, camera=4)
     result = run_experiment(config)
     xs = [254] + [r.cam_x for r in result.trace]  # from the centre of 512
@@ -313,7 +314,7 @@ def touched_tiles(scene, start, trace, camera):
     along ``trace`` touch."""
     from visuomotor import world
 
-    touched = np.zeros_like(scene._tiles.filled)
+    touched = np.zeros_like(scene._filled)
     xs = [start.left] + [r.cam_x for r in trace]
     ys = [start.top] + [r.cam_y for r in trace]
     for x, y in zip(xs, ys):
@@ -332,13 +333,13 @@ def test_babbling_run_fills_only_the_tiles_its_windows_touch(
     # A babbling run's block knows its positions, so it asks for their
     # windows' bounding box, once per block, and no more of the scene.
     asked = []
-    real_ensure = WorldImage.ensure
+    real_ensure = _TiledScene.ensure
 
     def recording(image, top, left, height, width):
         asked.append((top, left, height, width))
         return real_ensure(image, top, left, height, width)
 
-    monkeypatch.setattr(WorldImage, "ensure", recording)
+    monkeypatch.setattr(_TiledScene, "ensure", recording)
     config = default_config(ControllerKind.RM, 1, camera=camera)
     scene = load_world(config)
     result = run_experiment(config, world=scene)
@@ -355,7 +356,7 @@ def test_babbling_run_fills_only_the_tiles_its_windows_touch(
             assert left <= x and x + camera <= left + width
             assert top <= y and y + camera <= top + height
     touched = touched_tiles(scene, start, result.trace, camera)
-    assert np.array_equal(scene._tiles.filled, touched)
+    assert np.array_equal(scene._filled, touched)
 
 
 # Recorded while a reactive run still asked, at each noise block's start,
@@ -374,7 +375,7 @@ def test_reactive_run_fills_only_the_tiles_its_windows_touch(kind, camera, trace
     result = run_experiment(config, world=scene)
     assert trace_sha256(result.trace) == trace_hash
     touched = touched_tiles(scene, initial_camera(scene, config), result.trace, camera)
-    assert np.array_equal(scene._tiles.filled, touched)
+    assert np.array_equal(scene._filled, touched)
 
 
 def test_lockstep_group_fills_only_the_tiles_its_runs_touch(monkeypatch):
@@ -390,11 +391,68 @@ def test_lockstep_group_fills_only_the_tiles_its_runs_touch(monkeypatch):
     comparison = run_comparison(config, list(ControllerKind), [1])
     [scene] = scenes
     start = initial_camera(scene, config)
-    touched = np.zeros_like(scene._tiles.filled)
+    touched = np.zeros_like(scene._filled)
     for result in comparison.results.values():
         assert result.valid
         touched |= touched_tiles(scene, start, result.trace, 32)
-    assert np.array_equal(scene._tiles.filled, touched)
+    assert np.array_equal(scene._filled, touched)
+
+
+# Every read must find its pixels filled. The tile counts above cannot see
+# a read made before its ensure in the same step; a scene whose unfilled
+# pixels are NaN can, since a NaN read reaches the trace or aborts the run.
+NAN_SCENE_STEPS = 1500
+
+
+def nan_scene(config):
+    """``load_world(config)``, a fresh synthetic scene, with every pixel NaN
+    until its tile is filled."""
+    scene = load_world(config)
+    assert not scene._filled.any()
+    scene._buffer[...] = np.nan
+    return scene
+
+
+@pytest.mark.parametrize("camera", [8, 32])
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_run_reads_only_filled_pixels(kind, camera):
+    config = default_config(kind, 1, steps=NAN_SCENE_STEPS, camera=camera)
+    clean = run_experiment(config)
+    result = run_experiment(config, world=nan_scene(config))
+    assert result.valid
+    assert_same_run(result, clean.trace, clean.elm_state)
+
+
+def test_lockstep_group_reads_only_filled_pixels():
+    config = default_config(ControllerKind.RM, 1, steps=NAN_SCENE_STEPS, camera=32)
+    controllers = [default_config(kind, 1).controller for kind in ControllerKind]
+    clean = harness._run_lockstep(config, controllers)
+    cells = harness._run_lockstep(config, controllers, nan_scene(config))
+    for clean_cell, cell in zip(clean, cells):
+        columns, state, failure = harness._outcome(cell)
+        clean_columns, clean_state, _ = harness._outcome(clean_cell)
+        assert failure is None
+        assert [c.tobytes() for c in columns] == [c.tobytes() for c in clean_columns]
+        assert state.readout.tobytes() == clean_state.readout.tobytes()
+
+
+def test_cli_run_reads_only_filled_pixels(monkeypatch, tmp_path, capsys):
+    from visuomotor import cli
+
+    def run(out):
+        argv = ["run", "--controller", "maxlp", "--steps", str(NAN_SCENE_STEPS),
+                "--camera", "8", "--seed", "1", "--out", str(tmp_path / out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        return capsys.readouterr().out.replace(str(tmp_path / out), "OUT")
+
+    clean = run("clean")
+    monkeypatch.setattr(cli, "load_world", nan_scene)
+    assert run("nan") == clean
+    names = sorted(p.name for p in (tmp_path / "clean").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "nan").iterdir())
+    for name in names:
+        assert ((tmp_path / "nan" / name).read_bytes()
+                == (tmp_path / "clean" / name).read_bytes())
 
 
 def test_given_world_matches_loaded_world():

@@ -665,7 +665,7 @@ def test_windows_read_after_ensure_equal_the_filled_scene(width, height, seed, c
 
 def test_ensure_clips_to_the_scene_and_fills_only_what_it_touches():
     image = synthetic_image(100, 70, seed=4)
-    filled = image._tiles.filled
+    filled = image._filled
     assert not filled.any()
     image.ensure(-50, -50, 40, 40)  # wholly outside
     image.ensure(60, 90, 0, 10)  # empty
