@@ -159,12 +159,7 @@ class Metrics:
     final_error: float  # mean of the last FINAL_ERROR_WINDOW errors
     unique_positions: int
     bbox_area: int  # trajectory bounding box, in cells
-    action_histogram: dict[MotorCommand, int]
-
-    @property
-    def stay_fraction(self) -> float:
-        total = sum(self.action_histogram.values())
-        return self.action_histogram[MotorCommand.STAY] / total
+    stay_fraction: float  # the share of steps whose command is STAY
 
 
 @dataclass
@@ -240,34 +235,19 @@ _VELOCITIES = [command_to_velocity(c) for c in COMMANDS]
 _VELOCITY_ROWS = np.array(_VELOCITIES)
 
 
-# A stretch of the walk shorter than this is cheaper one move at a time.
-_MIN_STRETCH = 16
-
-
 def _clamped_walk(start: int, moves: np.ndarray, upper: int) -> np.ndarray:
     """``start`` and the position after each of ``moves`` (each -1, 0 or 1),
     clamped to [0, ``upper``] as ``apply_motor`` clamps a camera.
 
-    From a position ``room`` away from the nearer bound, the next ``room``
-    moves cannot reach past it, so they need no clamp and take a
-    cumulative sum; near a bound the walk goes one clamped move at a time.
+    A cumulative sum that stays in [0, ``upper``] never met a bound, so it
+    is the walk; only one that leaves the range is walked again one
+    clamped move at a time.
     """
-    path = np.empty(len(moves) + 1, dtype=np.int64)
-    path[0] = pos = start
-    step = moves.tolist()
-    i = 0
-    while i < len(step):
-        room = min(pos, upper - pos, len(step) - i)
-        if room >= _MIN_STRETCH:
-            stretch = path[i + 1 : i + 1 + room]
-            np.cumsum(moves[i : i + room], out=stretch)
-            stretch += pos
-            i += room
-            pos = int(path[i])
-        else:
-            pos = min(max(pos + step[i], 0), upper)
-            i += 1
-            path[i] = pos
+    path = np.concatenate(([start], moves)).cumsum()
+    if path.min() < 0 or path.max() > upper:
+        pos = start
+        for i, move in enumerate(moves.tolist(), 1):
+            path[i] = pos = min(max(pos + move, 0), upper)
     return path
 
 
@@ -386,12 +366,7 @@ def _run_lockstep(config: ExperimentConfig, controllers: Sequence[ControllerConf
       sigma in place. ``observe``'s ``normal(0, sigma)`` computes
       0 + sigma z, which is sigma z, and one draw of k n values yields the
       values of k consecutive draws of n. With sigma 0 every frame is
-      sensed against +0, which returns the pixel, as ``observe`` does,
-      except that a -0 pixel becomes +0. The sign of a zero in a frame
-      reaches nothing logged or learned: a bias is added to every hidden
-      sum, errors are squares, and a readout entry, which starts at +0,
-      never holds -0, since adding a zero of either sign to +0 gives +0.
-      The accumulator P never reads a frame.
+      sensed against +0, as ``observe`` senses it.
     - The camera is the run's logged position, clamped as ``apply_motor``
       clamps it; the check that the window fits the image is made once,
       up front.
@@ -566,14 +541,13 @@ def _metrics(xs: Sequence[int], ys: Sequence[int], commands: Sequence[MotorComma
     final_error = float(errors[-FINAL_ERROR_WINDOW:].mean())
     unique_positions = len(set(zip(xs, ys)))
     bbox_area = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
-    # count compares by identity first, in C; a dict update per step would
-    # hash each command in Python.
-    histogram = {cmd: commands.count(cmd) for cmd in MotorCommand}
+    # count compares by identity first, in C.
+    stay_fraction = commands.count(MotorCommand.STAY) / len(commands)
     return Metrics(
         final_error=final_error,
         unique_positions=unique_positions,
         bbox_area=bbox_area,
-        action_histogram=histogram,
+        stay_fraction=stay_fraction,
     )
 
 

@@ -207,18 +207,17 @@ def observe(
     """Read the window contents row-major, with optional sensor noise.
 
     Gaussian noise of the configured sigma is added per pixel and the
-    result is clamped back to [0, 1]. With sigma 0 the frame is the
-    exact window contents.
+    result is clamped back to [0, 1] (``_sense``). With sigma 0 nothing
+    is drawn and each pixel is sensed against +0.
     """
     _check_camera(world, cam)
     pixels = world.ensure(cam.top, cam.left, cam.height, cam.width)
     window = pixels[cam.top : cam.top + cam.height, cam.left : cam.left + cam.width]
-    if noise.sigma > 0.0:
-        frame = rng.normal(0.0, noise.sigma, cam.pixel_count)
-        noisy = frame.reshape(cam.height, cam.width)  # a view of frame
-        _sense(window, noisy, noisy)
-        return frame
-    return window.flatten()
+    frame = (rng.normal(0.0, noise.sigma, cam.pixel_count) if noise.sigma > 0.0
+             else np.zeros(cam.pixel_count))
+    noisy = frame.reshape(cam.height, cam.width)  # a view of frame
+    _sense(window, noisy, noisy)
+    return frame
 
 
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")

@@ -1,7 +1,10 @@
 """Tests for the command-line interface and its file writers."""
 
+import argparse
 import csv
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +76,20 @@ def test_run_flags_cover_default_config_keywords():
         if p.kind is inspect.Parameter.KEYWORD_ONLY
     }
     assert set(cli._RUN_FLAGS) == keywords
+
+
+def test_readme_names_every_long_option():
+    # Whole options only: "--seeds" does not name "--seed".
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme))
+    [subparsers] = [action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    options = {
+        option for sub in subparsers.choices.values() for action in sub._actions
+        for option in action.option_strings if option.startswith("--")
+    }
+    assert len(options) > 10
+    assert options - {"--help"} - named == set()
 
 
 def test_epsilon_flag_parsed():
